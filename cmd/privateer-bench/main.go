@@ -24,12 +24,12 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "all",
-			"all, table1, table3, fig6, fig7, fig8, fig9, ablation, pipeline, micro, scale, elision, staticsep, obsoverhead, or service")
+			"all, table1, table3, fig6, fig7, fig8, fig9, ablation, micro, elision, staticsep, obsoverhead, or service")
 		input     = flag.String("input", "", "input class override: train, ref, alt, huge")
 		quick     = flag.Bool("quick", false, "scaled-down configuration (train inputs)")
 		programs  = flag.String("programs", "", "comma-separated subset of benchmarks")
 		workers   = flag.Int("workers", 0, "machine size override for fig7/fig9")
-		jsonOut   = flag.Bool("json", false, "machine-readable output (micro, pipeline, obsoverhead)")
+		jsonOut   = flag.Bool("json", false, "machine-readable output (micro, elision, staticsep, obsoverhead, service)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file of the speculation lifecycle")
 		eventsOut = flag.Bool("events", false, "print an event summary table after the experiment")
 		serve     = flag.String("serve", "", "serve live introspection (/metrics, /vars, /spec, /debug/pprof) on this address while experiments run")
@@ -48,7 +48,7 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 	}
 	if input != "" {
 		cfg.Input = input
-	} else if (experiment == "scale" || experiment == "elision" || experiment == "staticsep") && !quick {
+	} else if (experiment == "elision" || experiment == "staticsep") && !quick {
 		// These experiments exist to exercise the ~100x inputs.
 		cfg.Input = "huge"
 	}
@@ -118,30 +118,6 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 
 	if experiment == "table1" {
 		fmt.Println(bench.Table1())
-		return nil
-	}
-	if experiment == "pipeline" {
-		rep, err := bench.RunPipeline(cfg)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			fmt.Println(rep.JSON())
-		} else {
-			fmt.Println(rep.Format())
-		}
-		return nil
-	}
-	if experiment == "scale" {
-		rep, err := bench.RunScale(cfg, quick)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			fmt.Println(rep.JSON())
-		} else {
-			fmt.Println(rep.Format())
-		}
 		return nil
 	}
 	if experiment == "elision" {

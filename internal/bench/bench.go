@@ -125,6 +125,14 @@ func containsString(xs []string, x string) bool {
 	return false
 }
 
+// nsRatio returns before/after, or 0 when after was not measured.
+func nsRatio(before, after int64) float64 {
+	if after <= 0 {
+		return 0
+	}
+	return float64(before) / float64(after)
+}
+
 func inputFor(p *progs.Program, name string) progs.Input {
 	switch name {
 	case "train":

@@ -134,7 +134,7 @@ func (r *ElisionReport) Format() string {
 	}
 	sb.WriteString(fmt.Sprintf("programs (%s inputs, %d workers): counters are static sites, checks are dynamic,\n"+
 		"elide columns are wall clock / simulated time, end-to-end is the Figure 6 metric on the elided build\n",
-		r.Input, scaleWorkers))
+		r.Input, sweepWorkers))
 	sb.WriteString(table([]string{
 		"program", "input", "join", "elim", "inv", "dense", "sparse", "uo",
 		"before checks", "after checks", "before ms", "after ms", "elide",
@@ -187,6 +187,11 @@ func (r *ElisionReport) bestCheckCut() float64 {
 
 // elisionReps: wall-clock minima over this many speculative runs per mode.
 const elisionReps = 3
+
+// sweepWorkers is the worker count of the elision and staticsep runs (the
+// host-sized default — oversubscription would put scheduler noise into the
+// wall-clock columns).
+const sweepWorkers = 8
 
 // elisionRun parallelizes a freshly built module with the given postprocess
 // setting and times core.Run, returning the best wall clock, the last run's
@@ -253,7 +258,7 @@ func RunElision(cfg Config, quick bool) (*ElisionReport, error) {
 			continue
 		}
 		in := inputFor(p, cfg.Input)
-		row := ElisionRow{Name: p.Name, Input: in.Name, Workers: scaleWorkers}
+		row := ElisionRow{Name: p.Name, Input: in.Name, Workers: sweepWorkers}
 
 		t0 := time.Now()
 		seqIt := interp.New(p.Build(in), vm.NewAddressSpace())
@@ -266,11 +271,11 @@ func RunElision(cfg Config, quick bool) (*ElisionReport, error) {
 		row.SeqSteps = seqIt.Steps
 
 		build := func() *ir.Module { return p.Build(in) }
-		before, err := elisionRun(build, true, scaleWorkers, reps)
+		before, err := elisionRun(build, true, sweepWorkers, reps)
 		if err != nil {
 			return nil, fmt.Errorf("%s before: %w", p.Name, err)
 		}
-		after, err := elisionRun(build, false, scaleWorkers, reps)
+		after, err := elisionRun(build, false, sweepWorkers, reps)
 		if err != nil {
 			return nil, fmt.Errorf("%s after: %w", p.Name, err)
 		}

@@ -135,7 +135,7 @@ func (r *StaticSepReport) Format() string {
 	}
 	sb.WriteString(fmt.Sprintf("programs (%s inputs, %d workers): proven/discharged/dropped are static sites,\n"+
 		"checks are residual dynamic checks, prove columns are wall clock / simulated time\n",
-		r.Input, scaleWorkers))
+		r.Input, sweepWorkers))
 	sb.WriteString(table([]string{
 		"program", "input", "proven", "rules", "chk-", "marks-",
 		"before checks", "after checks", "before ms", "after ms", "prove",
@@ -234,7 +234,7 @@ func RunStaticSep(cfg Config, quick bool) (*StaticSepReport, error) {
 			continue
 		}
 		in := inputFor(p, cfg.Input)
-		row := StaticSepRow{Name: p.Name, Input: in.Name, Workers: scaleWorkers}
+		row := StaticSepRow{Name: p.Name, Input: in.Name, Workers: sweepWorkers}
 
 		t0 := time.Now()
 		seqIt := interp.New(p.Build(in), vm.NewAddressSpace())
@@ -247,11 +247,11 @@ func RunStaticSep(cfg Config, quick bool) (*StaticSepReport, error) {
 		row.SeqSteps = seqIt.Steps
 
 		build := func() *ir.Module { return p.Build(in) }
-		before, err := staticSepRun(build, true, scaleWorkers, reps)
+		before, err := staticSepRun(build, true, sweepWorkers, reps)
 		if err != nil {
 			return nil, fmt.Errorf("%s before: %w", p.Name, err)
 		}
-		after, err := staticSepRun(build, false, scaleWorkers, reps)
+		after, err := staticSepRun(build, false, sweepWorkers, reps)
 		if err != nil {
 			return nil, fmt.Errorf("%s after: %w", p.Name, err)
 		}

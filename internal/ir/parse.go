@@ -117,12 +117,21 @@ func (p *parser) parseGlobal(line string) error {
 		return p.errf("bad global declaration %q", line)
 	}
 	name := fields[1][1:]
+	if name == "" {
+		return p.errf("empty global name in %q", line)
+	}
+	if _, dup := p.mod.Globals[name]; dup {
+		return p.errf("duplicate global @%s", name)
+	}
 	sizeTok := strings.TrimPrefix(fields[2], "[")
 	size, err := strconv.ParseInt(sizeTok, 10, 64)
 	if err != nil {
 		return p.errf("bad global size in %q", line)
 	}
 	g := p.mod.NewGlobal(name, size)
+	if len(fields) < 4 {
+		return nil
+	}
 	for _, f := range fields[4:] {
 		if h, found := strings.CutPrefix(f, "heap="); found {
 			k, err := heapByName(h)

@@ -97,10 +97,12 @@ func TestParseFormatFixpoint(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		"",                                    // no module
-		"module x\nbogus line",                // junk
-		"module x\nglobal @g [z bytes]",       // bad size
-		"module x\nfunc @f() i64 {\nentry:\n", // unterminated
+		"",                              // no module
+		"module x\nbogus line",          // junk
+		"module x\nglobal @g [z bytes]", // bad size
+		"module 0\nglobal @ 0",          // short line, empty name
+		"module x\nglobal @g [8 bytes]\nglobal @g [8 bytes]",                      // duplicate
+		"module x\nfunc @f() i64 {\nentry:\n",                                     // unterminated
 		"module x\nfunc @f() i64 {\nentry:\n\t%v1 = frobnicate %v0\n}\n",          // bad opcode
 		"module x\nfunc @f() i64 {\nentry:\n\t%v1 = global @nope\n\tret %v1\n}\n", // unknown global
 		"module x\nfunc @f() void {\nentry:\n\t%v1 = const 1\n}\n",                // no terminator

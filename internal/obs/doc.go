@@ -11,9 +11,8 @@
 // JSON file (chrometrace.go) or folded into per-invocation metrics
 // (metrics.go).
 //
-// Emission is safe from any goroutine: the runtime's workers and the
-// pipelined committer (KValidateEager, KCommitAsync, KCancel) trace
-// concurrently with the master. Events from one goroutine are ordered;
+// Emission is safe from any goroutine: the runtime's workers trace
+// concurrently with each other and with the service's job goroutines. Events from one goroutine are ordered;
 // events from different goroutines interleave by arrival, so consumers
 // that need a deterministic sequence must filter to kinds emitted by a
 // single logical thread (see specrt's golden-sequence tests).

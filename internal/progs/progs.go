@@ -56,7 +56,8 @@ type Program struct {
 	// Huge is the scaled input class behind the memory-system size knob:
 	// roughly two orders of magnitude more resident footprint than Ref
 	// (bounded per program by interpreted runtime — see each program's
-	// definition), used by the scale experiment and the soak lane.
+	// definition), used by the elision and staticsep experiments and the soak
+	// lane.
 	Huge Input
 }
 

@@ -16,16 +16,14 @@
 // checkpoint object per interval. Validation has two phases: the fast
 // phase (per-access Table 2 shadow transitions inside each worker) and the
 // checkpoint phase (the merge in checkpoint.addWorkerState plus the
-// cross-interval chain validation in crossValidate). A valid prefix of the
-// chain is installed into the master space and its deferred output
-// committed; a misspeculation squashes in-flight intervals and re-executes
-// from the last valid checkpoint boundary sequentially. See
-// ARCHITECTURE.md at the repository root for the end-to-end walk-through.
-//
-// With Config.Pipeline set, validation, install, and commit run in a
-// background committer goroutine that consumes each interval as soon as it
-// quiesces, overlapping the master-side critical path with worker
-// execution (committer.go).
+// cross-interval chain validation in crossValidate). Once every worker has
+// joined, the master validates the chain, installs its valid prefix into
+// the master space and commits its deferred output; a misspeculation
+// squashes in-flight intervals and re-executes from the last valid
+// checkpoint boundary sequentially. This join — spawn, the slowest worker,
+// then a serial merge on the master — is what sim.go's cost model charges.
+// See ARCHITECTURE.md at the repository root for the end-to-end
+// walk-through.
 //
 // # Invariants
 //
@@ -43,8 +41,8 @@
 // bit-identical run to run regardless of scheduling.
 //
 // Checkpoints are self-contained: each records only the bytes written in
-// its own interval, so installing a chain interval by interval (pipelined)
-// and installing it wholesale (synchronous) produce the same master state.
+// its own interval, so the install applies a chain interval by interval
+// (installOwnDataInto) and folds reductions once at the end.
 //
 // Committed program output is append-only and ordered: deferred records
 // commit per interval in interval order, each interval's records in

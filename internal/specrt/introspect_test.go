@@ -69,7 +69,6 @@ func TestScrapeWhileRunning(t *testing.T) {
 		"privateer_invocations_total 3",
 		"privateer_checkpoints_total",
 		`privateer_heap_live_bytes{heap="`,
-		"privateer_pipeline_depth",
 		"privateer_misspec_rate",
 		`privateer_op_executed_total{op="`,
 		`privateer_fn_calls_total{fn="`,
@@ -121,27 +120,24 @@ func TestMisspecAttributionInjected(t *testing.T) {
 }
 
 // TestSpecSnapshotShape: the /spec document must carry the configured
-// worker count, a row per logical heap, a consistent misspeculation rate,
-// and zero pipeline depth once quiesced.
+// worker count, a row per logical heap, and a consistent misspeculation
+// rate.
 func TestSpecSnapshotShape(t *testing.T) {
 	mod := buildWriterModule(16)
 	ri := buildRegion(t, mod)
 	rt := New(mod, Config{
 		Workers: 2, CheckpointPeriod: 4,
-		MisspecRate: 0.5, Seed: 9, Pipeline: true,
+		MisspecRate: 0.5, Seed: 9,
 	}, ri)
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
 	snap := rt.SpecSnapshot()
-	if snap.Workers != 2 || !snap.Pipeline {
+	if snap.Workers != 2 {
 		t.Errorf("config fields wrong: %+v", snap)
 	}
 	if len(snap.Heaps) == 0 {
 		t.Error("no per-heap occupancy rows")
-	}
-	if snap.PipelineDepth != 0 {
-		t.Errorf("pipeline depth %d after quiesce, want 0", snap.PipelineDepth)
 	}
 	want := 0.0
 	if snap.Stats.Checkpoints > 0 {

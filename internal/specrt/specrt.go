@@ -56,21 +56,6 @@ type Config struct {
 	Seed uint64
 	// StepLimit bounds each worker's interpreter (0 = default).
 	StepLimit int64
-	// Pipeline enables the pipelined validator/committer: a background
-	// goroutine eagerly chain-validates, installs, and commits checkpoint k
-	// as soon as interval k quiesces, while workers execute interval k+1 —
-	// moving validation and commit off the master's critical path (the
-	// paper's separate commit process, §5.2-§5.3). Off, the span uses the
-	// quiesce-then-commit barrier model. Both modes produce byte-identical
-	// output and results; on misspeculation-free runs the simulated-time
-	// accounting is identical too (misspeculation timing is inherently
-	// schedule-dependent in either mode — recovery keeps the outcome exact).
-	Pipeline bool
-	// ValidateShards caps the goroutines used to shard checkpoint merge and
-	// cross-interval validation scans by shadow-page range. 0 selects
-	// automatically (GOMAXPROCS, capped at 8); 1 forces serial scans.
-	// Results are independent of the shard count.
-	ValidateShards int
 	// Trace receives speculation-lifecycle events (nil disables tracing;
 	// every emission site is then a single branch).
 	Trace *obs.Tracer
@@ -94,13 +79,6 @@ type Config struct {
 	// prover never trips the oracle; it exists to catch unsound proofs
 	// (see core.Options.PlantProofs) before they corrupt output silently.
 	SepAudit bool
-	// EagerClone selects the flat-table baseline memory mode: worker spawn
-	// rebuilds the whole page table and deep-copies allocator state up
-	// front, and dirty scans visit every resident entry instead of
-	// following the radix table's dirty summaries. Semantically identical
-	// to the default lazy mode; used by the scale experiment as its
-	// before/after reference.
-	EagerClone bool
 	// Program, when non-nil, is the shared pre-decoded form of Mod that this
 	// runtime's master, workers and recovery interpreters execute (see
 	// interp.SharedProgram). Concurrent RT instances over the same module —
@@ -173,9 +151,7 @@ type Stats struct {
 	// accumulated, like every timing field below).
 	SpawnNS int64
 	// JoinNS is the master-side validate/install/commit critical path after
-	// workers quiesce: in synchronous mode the whole chain validation plus
-	// install plus commit; in pipelined mode only the drain — whatever the
-	// background committer had not already overlapped with execution.
+	// workers quiesce: the whole chain validation plus install plus commit.
 	JoinNS int64
 	// CheckpointNS is wall-clock time workers spent merging state into
 	// checkpoints.
@@ -188,10 +164,6 @@ type Stats struct {
 	WorkerBusyNS int64
 	// RegionWallNS is wall-clock time inside parallel-region invocations.
 	RegionWallNS int64
-	// OverlappedCommitNS is wall-clock validate/install/commit time the
-	// pipelined committer performed while workers were still executing —
-	// work the synchronous mode would have serialized into JoinNS.
-	OverlappedCommitNS int64
 }
 
 // RT is the runtime: it executes a transformed module, intercepting
@@ -212,24 +184,16 @@ type RT struct {
 	//
 	// outMu guards out (the committed output stream) and each checkpoint's
 	// committed flag transition: every writer goes through writeOut or
-	// commitOne. Historically rt.out was mutated without a lock, which was
-	// sound only because commit ran on the master thread after the span
-	// quiesced; with Config.Pipeline the background committer writes output
-	// while worker goroutines are still running, so the invariant is now
-	// explicit:
+	// commitOne. Only the master thread writes:
 	//
-	//   - master thread: writes via OnPrint only outside parallel regions,
-	//     and via sequentialRange only after the span (and its committer)
-	//     has fully joined;
-	//   - committer goroutine: writes via commitOne only between span start
-	//     and its done-channel close, which span.run awaits before
-	//     returning;
-	//   - workers: never write out (their prints defer into worker-local
+	//   - via OnPrint outside parallel regions, and via sequentialRange
+	//     during recovery or fallback, both after the span has joined;
+	//   - via commitOne when invoke installs a quiesced span's checkpoints;
+	//   - workers never write out (their prints defer into worker-local
 	//     buffers).
 	//
 	// The mutex makes the discipline checkable under -race rather than a
-	// comment-only convention; at most one writer ever contends, so it
-	// costs an uncontended lock per record.
+	// comment-only convention; it costs an uncontended lock per record.
 	outMu  sync.Mutex
 	out    strings.Builder
 	master *interp.Interp
@@ -285,12 +249,6 @@ type RT struct {
 	// block for scrapes (set in Run once the master space exists; the block
 	// itself is in atomic-update mode whenever metrics are enabled).
 	vmStats atomic.Pointer[vm.Stats]
-
-	// curInterval and doneInterval (atomic) expose the live pipeline
-	// depth: the newest interval any worker has started vs. the newest
-	// interval the background committer has fully retired.
-	curInterval  int64
-	doneInterval int64
 }
 
 // New prepares a runtime for mod with the given regions.
@@ -377,7 +335,6 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 	rt.master = master
 	master.SetTrace(rt.Cfg.Trace, -1, -1)
 	master.AS.Occ = rt.occ
-	master.AS.EagerClone = rt.Cfg.EagerClone
 	if rt.Cfg.Metrics != nil {
 		// Scrapes read the master's memory-system counters concurrently
 		// with execution, so its Stats block must update atomically.
@@ -588,7 +545,7 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 		wall := int64(time.Since(wallStart))
 		atomic.AddInt64(&rt.Stats.RegionWallNS, wall)
 		rt.histRegionWall.Observe(wall)
-		// Workers and the committer have joined: the master space is
+		// Workers have joined: the master space is
 		// quiescent, so this is a safe point to refresh the page-table
 		// snapshot metric scrapes read.
 		if rt.Cfg.Metrics != nil {
@@ -643,11 +600,9 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 			return err
 		}
 		if misspecAt < 0 {
-			// Clean completion: install the final checkpoint. A pipelined
-			// span (span.installed) has already installed and committed
-			// everything from its background committer.
+			// Clean completion: install the final checkpoint.
 			joinStart := time.Now()
-			if lastValid != nil && !span.installed {
+			if lastValid != nil {
 				if err := rt.installCheckpoint(lastValid, span.redux, inv); err != nil {
 					return err
 				}
@@ -658,7 +613,7 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 		// Misspeculation: recover.
 		recoveries++
 		atomic.AddInt64(&rt.Stats.Recoveries, 1)
-		if lastValid != nil && !span.installed {
+		if lastValid != nil {
 			if err := rt.installCheckpoint(lastValid, span.redux, inv); err != nil {
 				return err
 			}
@@ -714,8 +669,7 @@ func (rt *RT) installCheckpoint(cp *checkpoint, redux []reduxObj, inv int64) err
 
 // commitOne commits one checkpoint's deferred output in iteration order and
 // marks it committed, all under outMu (see the locking discipline note),
-// returning the number of records. Both the synchronous chain commit and
-// the pipelined committer route through it.
+// returning the number of records.
 func (rt *RT) commitOne(c *checkpoint) int64 {
 	recs := c.sortedIO()
 	rt.outMu.Lock()
@@ -731,8 +685,7 @@ func (rt *RT) commitOne(c *checkpoint) int64 {
 }
 
 // commitChain commits every uncommitted checkpoint up to cp, emitting
-// deferred output in order (the synchronous commit path; the pipelined
-// committer instead calls commitOne per interval as each quiesces).
+// deferred output in order.
 func (rt *RT) commitChain(cp *checkpoint, inv int64) {
 	tr := rt.Cfg.Trace
 	var chain []*checkpoint
@@ -753,42 +706,11 @@ func (rt *RT) commitChain(cp *checkpoint, inv int64) {
 	}
 }
 
-// installRedux folds cp's cumulative reduction contributions into the
-// master state: the per-span final step of the pipelined path, whose data
-// pages and output were already installed interval by interval. It accounts
-// the same simulated cost and emits the same KInstall event the synchronous
-// whole-chain install attributes to its reduction bytes.
-func (rt *RT) installRedux(cp *checkpoint, redux []reduxObj, inv int64) error {
-	tr := rt.Cfg.Trace
-	t0 := tr.Now()
-	bytes, err := cp.installReduxInto(rt.master.AS, redux)
-	if err != nil {
-		return err
-	}
-	rt.histInstall.Observe(bytes)
-	cost := bytes * SimInstallPerByte
-	atomic.AddInt64(&rt.Sim.RegionTime, cost)
-	atomic.AddInt64(&rt.Sim.CheckpointCost, cost)
-	if tr.On() {
-		tr.Emit(obs.Event{Kind: obs.KInstall, TimeNS: t0, DurNS: tr.Now() - t0,
-			Invocation: inv, Worker: -1, Iter: cp.id, A: bytes})
-	}
-	return nil
-}
-
-// validateShards resolves Config.ValidateShards (see its doc comment).
-func (rt *RT) validateShards() int {
-	s := rt.Cfg.ValidateShards
-	if s == 0 {
-		s = runtime.GOMAXPROCS(0)
-		if s > 8 {
-			s = 8
-		}
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
+// validateShards returns the number of goroutines that shard checkpoint
+// merge and cross-interval validation scans by shadow-page range:
+// GOMAXPROCS, capped at 8. Results are independent of the shard count.
+func validateShards() int {
+	return min(runtime.GOMAXPROCS(0), 8)
 }
 
 // sequentialRange executes iterations [from, to) non-speculatively on the

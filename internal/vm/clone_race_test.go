@@ -7,8 +7,8 @@ import (
 	"privateer/internal/ir"
 )
 
-// TestConcurrentCloneIsolation pins the lazy-clone invariant the pipelined
-// committer depends on (see the package comment): a parent address space
+// TestConcurrentCloneIsolation pins the lazy-clone invariant concurrent
+// speculation depends on (see the package comment): a parent address space
 // and clones taken from it may be written concurrently, each by its own
 // owner goroutine, without data races — shared page-table maps are never
 // mutated, so every write materializes private structure first. Run under
@@ -33,7 +33,7 @@ func TestConcurrentCloneIsolation(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	// The "committer": installs into the parent while children execute.
+	// The parent writes while its children execute.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

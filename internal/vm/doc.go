@@ -31,9 +31,8 @@
 // execute concurrently without locks: writes on either side split shared
 // subtrees (and then copy pages) privately before mutating, so no goroutine
 // ever observes another's mutation through shared structure. This is what
-// lets the pipelined committer (internal/specrt) install checkpoint data
-// into the master space while worker goroutines are still executing against
-// clones taken from it: the shared subtrees are frozen, and the master's
-// writes materialize private ones. TestConcurrentCloneIsolation pins this
-// under the race detector.
+// lets internal/specrt run every worker of a span on its own goroutine
+// against clones of one master space: the shared subtrees are frozen, and
+// each worker's writes materialize private ones. TestConcurrentCloneIsolation
+// pins this under the race detector.
 package vm

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -275,51 +274,8 @@ func TestDirtyHeapPagesSummaryGuided(t *testing.T) {
 	})
 }
 
-// TestEagerCloneBaselineEquivalence runs the same access pattern through
-// the default lazy mode and the EagerClone flat-table baseline and demands
-// identical contents, dirty sets, and copy accounting — the two modes may
-// differ only in cost.
-func TestEagerCloneBaselineEquivalence(t *testing.T) {
-	run := func(eager bool) (map[uint64]uint64, map[uint64]bool, int64) {
-		parent := NewAddressSpace()
-		parent.EagerClone = eager
-		base, _ := parent.Alloc(ir.HeapPrivate, 64*PageSize)
-		for p := uint64(0); p < 64; p++ {
-			if err := parent.Write(base+p*PageSize, 8, p+1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		child := parent.Clone()
-		for _, p := range []uint64{3, 17, 42} {
-			if err := child.Write(base+p*PageSize, 8, 100+p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		vals := map[uint64]uint64{}
-		for p := uint64(0); p < 64; p++ {
-			vc, _ := child.Read(base+p*PageSize, 8)
-			vp, _ := parent.Read(base+p*PageSize, 8)
-			vals[p] = vc<<32 | vp
-		}
-		dirty := map[uint64]bool{}
-		child.DirtyPages(func(pb uint64, data []byte) { dirty[pb] = true })
-		return vals, dirty, child.Stats.PagesCopied
-	}
-	lazyVals, lazyDirty, lazyCopied := run(false)
-	eagerVals, eagerDirty, eagerCopied := run(true)
-	if fmt.Sprint(lazyVals) != fmt.Sprint(eagerVals) {
-		t.Error("lazy and eager modes disagree on memory contents")
-	}
-	if len(lazyDirty) != 3 || fmt.Sprint(lazyDirty) != fmt.Sprint(eagerDirty) {
-		t.Errorf("dirty sets differ: lazy %v, eager %v", lazyDirty, eagerDirty)
-	}
-	if lazyCopied != eagerCopied {
-		t.Errorf("PagesCopied differs: lazy %d, eager %d", lazyCopied, eagerCopied)
-	}
-}
-
 // TestPageTableStats sanity-checks the introspection walk used by
-// privateer-dump -pagetable and the scale experiment.
+// privateer-dump -pagetable and the page-table metrics.
 func TestPageTableStats(t *testing.T) {
 	as := NewAddressSpace()
 	base, _ := as.Alloc(ir.HeapPrivate, 10*PageSize)

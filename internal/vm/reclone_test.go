@@ -134,24 +134,6 @@ func TestRecloneEquivalentToCloneSharingStats(t *testing.T) {
 	}
 }
 
-// TestRecloneEagerBaseline checks the flat-eager compatibility path.
-func TestRecloneEagerBaseline(t *testing.T) {
-	parent, addrs := buildParent(t)
-	parent.EagerClone = true
-	pooled := NewAddressSpace()
-	pooled.Release()
-	pooled.RecloneFrom(parent)
-	if !pooled.EagerClone {
-		t.Fatalf("recloned space did not inherit EagerClone")
-	}
-	want := readAll(t, parent, addrs)
-	for i, got := range readAll(t, pooled, addrs) {
-		if !bytes.Equal(got, want[i]) {
-			t.Fatalf("eager reclone disagrees with parent at object %d", i)
-		}
-	}
-}
-
 // TestReleaseDropsState checks that a released space holds no pages or
 // allocator entries from its previous life, so a pool does not pin dead
 // invocations' memory.

@@ -210,18 +210,11 @@ func (hs *heapState) flatten() {
 	hs.base, hs.used, hs.dead = nil, nil, nil
 }
 
-// clone duplicates the allocator state. The lazy default freezes the delta
-// maps into an immutable shared base (O(1) regardless of how many objects
-// are live — and, unlike the earlier map-sharing scheme, the first
-// post-clone Alloc/Free is O(1) too, reading through the base instead of
-// deep-copying it); eager materializes a full flat copy up front, preserving
-// the old cost profile for the EagerClone baseline.
-func (hs *heapState) clone(eager bool) *heapState {
-	if eager {
-		free, objects := hs.flatMaps()
-		return &heapState{brk: hs.brk, free: free, objects: objects,
-			liveCount: hs.liveCount, allocBytes: hs.allocBytes}
-	}
+// clone duplicates the allocator state by freezing the delta maps into an
+// immutable shared base: O(1) regardless of how many objects are live, and
+// the first post-clone Alloc/Free is O(1) too, reading through the base
+// instead of deep-copying it.
+func (hs *heapState) clone() *heapState {
 	hs.freeze()
 	return &heapState{brk: hs.brk, base: hs.base,
 		liveCount: hs.liveCount, allocBytes: hs.allocBytes}
@@ -232,14 +225,8 @@ func (hs *heapState) clone(eager bool) *heapState {
 // allocator half of AddressSpace.RecloneFrom. Reuse is safe because freeze
 // moves any map a clone could share into the immutable base chain: a map
 // still referenced from a heapState has never been visible to another
-// space. The eager path mirrors clone's flat deep copy.
-func (hs *heapState) recloneFrom(src *heapState, eager bool) {
-	if eager {
-		free, objects := src.flatMaps()
-		*hs = heapState{brk: src.brk, free: free, objects: objects,
-			liveCount: src.liveCount, allocBytes: src.allocBytes}
-		return
-	}
+// space.
+func (hs *heapState) recloneFrom(src *heapState) {
 	src.freeze()
 	hs.brk = src.brk
 	hs.base = src.base
@@ -299,10 +286,6 @@ type Stats struct {
 	PagesMapped int64
 	// PagesCopied counts copy-on-write duplications.
 	PagesCopied int64
-	// BytesRead totals load volume.
-	BytesRead int64
-	// BytesWritten totals store volume.
-	BytesWritten int64
 	// NodesCopied counts radix page-table nodes path-copied on first
 	// mutation under a shared subtree (range-COW splits).
 	NodesCopied int64
@@ -335,13 +318,6 @@ type AddressSpace struct {
 	epoch uint64
 	heaps [ir.NumHeaps]*heapState
 	prot  [ir.NumHeaps]Prot
-
-	// EagerClone selects the flat-table compatibility baseline: Clone
-	// rebuilds the whole page table and deep-copies allocator state up
-	// front (O(resident footprint)), and dirty walks scan every resident
-	// entry instead of following summaries. Inherited by clones; used for
-	// the scale experiment's before/after comparison.
-	EagerClone bool
 
 	// rtlb and wtlb are small direct-mapped software TLBs consulted before
 	// the page map: rtlb caches protection-checked read translations, wtlb
@@ -417,14 +393,10 @@ func (as *AddressSpace) Clone() *AddressSpace {
 	as.epoch = nextEpoch()
 	as.flushTLB("clone")
 	c := &AddressSpace{root: as.root, epoch: nextEpoch(), Stats: &Stats{},
-		EagerClone: as.EagerClone,
-		Trace:      as.Trace, TraceWorker: as.TraceWorker, TraceInv: as.TraceInv}
+		Trace: as.Trace, TraceWorker: as.TraceWorker, TraceInv: as.TraceInv}
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
-		c.heaps[h] = as.heaps[h].clone(as.EagerClone)
+		c.heaps[h] = as.heaps[h].clone()
 		c.prot[h] = as.prot[h]
-	}
-	if as.EagerClone {
-		c.eagerOwn()
 	}
 	return c
 }
@@ -463,10 +435,9 @@ func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 	as.root = parent.root
 	as.epoch = nextEpoch()
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
-		as.heaps[h].recloneFrom(parent.heaps[h], parent.EagerClone)
+		as.heaps[h].recloneFrom(parent.heaps[h])
 		as.prot[h] = parent.prot[h]
 	}
-	as.EagerClone = parent.EagerClone
 	as.Stats = parent.Stats
 	as.statsAtomic = true
 	as.Occ = nil
@@ -474,9 +445,6 @@ func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 	as.TraceWorker = parent.TraceWorker
 	as.TraceInv = parent.TraceInv
 	as.flushTLB("reclone")
-	if as.EagerClone {
-		as.eagerOwn()
-	}
 }
 
 // Release detaches as from whatever parent it was recloned from: the radix
@@ -581,7 +549,6 @@ func (as *AddressSpace) ReadBytes(addr uint64, dst []byte) error {
 	if err := as.checkProt(addr, uint64(len(dst)), false); err != nil {
 		return err
 	}
-	as.addStat(&as.Stats.BytesRead, int64(len(dst)))
 	for len(dst) > 0 {
 		off := addr & (PageSize - 1)
 		n := uint64(PageSize) - off
@@ -601,7 +568,6 @@ func (as *AddressSpace) WriteBytes(addr uint64, src []byte) error {
 	if err := as.checkProt(addr, uint64(len(src)), true); err != nil {
 		return err
 	}
-	as.addStat(&as.Stats.BytesWritten, int64(len(src)))
 	for len(src) > 0 {
 		off := addr & (PageSize - 1)
 		n := uint64(PageSize) - off
@@ -659,13 +625,11 @@ func (as *AddressSpace) Read(addr uint64, size int64) (uint64, error) {
 		// check (proven at fill time) and the page-map lookup.
 		pn := addr >> PageShift
 		if e := &as.rtlb[pn&(tlbSize-1)]; e.pn == pn && e.pg != nil {
-			as.addStat(&as.Stats.BytesRead, size)
 			return loadLE(e.pg.data[off:], size), nil
 		}
 		if err := as.checkProt(addr, uint64(size), false); err != nil {
 			return 0, err
 		}
-		as.addStat(&as.Stats.BytesRead, size)
 		return loadLE(as.pageFor(addr, false).data[off:], size), nil
 	}
 	if err := as.checkProt(addr, uint64(size), false); err != nil {
@@ -686,14 +650,12 @@ func (as *AddressSpace) Write(addr uint64, size int64, val uint64) error {
 		// writable, so the store lands directly.
 		pn := addr >> PageShift
 		if e := &as.wtlb[pn&(tlbSize-1)]; e.pn == pn && e.pg != nil {
-			as.addStat(&as.Stats.BytesWritten, size)
 			storeLE(e.pg.data[off:], size, val)
 			return nil
 		}
 		if err := as.checkProt(addr, uint64(size), true); err != nil {
 			return err
 		}
-		as.addStat(&as.Stats.BytesWritten, size)
 		storeLE(as.pageFor(addr, true).data[off:], size, val)
 		return nil
 	}
@@ -857,7 +819,7 @@ func (as *AddressSpace) CopyHeapFrom(src *AddressSpace, h ir.HeapKind) {
 		copy(dup.data[:], data)
 		*e = pageEntry{pg: dup, cow: true}
 	})
-	as.heaps[h] = src.heaps[h].clone(as.EagerClone)
+	as.heaps[h] = src.heaps[h].clone()
 	if as.Occ != nil {
 		as.Occ.resync(h, as.heaps[h])
 	}
@@ -871,12 +833,6 @@ func (as *AddressSpace) CopyHeapFrom(src *AddressSpace, h ir.HeapKind) {
 // without descending (O(touched pages), not O(resident footprint)). The
 // data slice aliases live memory and must not be retained.
 func (as *AddressSpace) DirtyPages(visit func(base uint64, data []byte)) {
-	if as.EagerClone {
-		as.root.walkNotCOW(0, func(base uint64, e *pageEntry) {
-			visit(base, e.pg.data[:])
-		})
-		return
-	}
 	as.walkDirty(as.root, 0, func(base uint64, e *pageEntry) {
 		visit(base, e.pg.data[:])
 	})
@@ -886,14 +842,6 @@ func (as *AddressSpace) DirtyPages(visit func(base uint64, data []byte)) {
 // over the heap's root-slot range that skips shared and untouched subtrees
 // outright. The data slice aliases live memory and must not be retained.
 func (as *AddressSpace) DirtyHeapPages(h ir.HeapKind, visit func(base uint64, data []byte)) {
-	if as.EagerClone {
-		as.heapWalkAll(h, func(base uint64, e *pageEntry) {
-			if !e.cow {
-				visit(base, e.pg.data[:])
-			}
-		})
-		return
-	}
 	if as.root.epoch != as.epoch || as.root.dirty == 0 {
 		as.addStat(&as.Stats.SummaryHits, 1)
 		return
