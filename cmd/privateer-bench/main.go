@@ -18,7 +18,6 @@ import (
 	"privateer/internal/bench"
 	"privateer/internal/interp"
 	"privateer/internal/obs"
-	"privateer/internal/specrt"
 )
 
 func main() {
@@ -32,7 +31,7 @@ func main() {
 		jsonOut   = flag.Bool("json", false, "machine-readable output (micro, elision, staticsep, obsoverhead, service)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file of the speculation lifecycle")
 		eventsOut = flag.Bool("events", false, "print an event summary table after the experiment")
-		serve     = flag.String("serve", "", "serve live introspection (/metrics, /vars, /spec, /debug/pprof) on this address while experiments run")
+		serve     = flag.String("serve", "", "serve live introspection (/metrics, /vars, /debug/pprof) on this address while experiments run")
 	)
 	flag.Parse()
 	if err := run(*experiment, *input, *quick, *programs, *workers, *jsonOut, *traceOut, *eventsOut, *serve); err != nil {
@@ -64,7 +63,6 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 	if serve != "" {
 		reg := obs.NewRegistry()
 		srv := obs.NewServer(reg)
-		srv.SetSpec(specrt.LatestSpec)
 		bound, err := srv.Start(serve)
 		if err != nil {
 			return err

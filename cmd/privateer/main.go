@@ -52,7 +52,6 @@ var whyMisspec bool
 func startServe(addr string) error {
 	reg := obs.NewRegistry()
 	srv := obs.NewServer(reg)
-	srv.SetSpec(specrt.LatestSpec)
 	bound, err := srv.Start(addr)
 	if err != nil {
 		return err
@@ -108,7 +107,7 @@ func main() {
 		optimize = flag.Bool("O", false, "run the mid-end optimizer before profiling")
 		showOut  = flag.Bool("output", false, "print the program's output")
 		quiet    = flag.Bool("quiet", false, "suppress the pipeline summary")
-		serve    = flag.String("serve", "", "serve live introspection (/metrics, /vars, /spec, /debug/pprof) on this address, e.g. :6060")
+		serve    = flag.String("serve", "", "serve live introspection (/metrics, /vars, /debug/pprof) on this address, e.g. :6060")
 		whyMiss  = flag.Bool("why-misspec", false, "after the run, print misspeculations attributed to allocation sites")
 
 		// Region-service tuning (only with -mode serve).
@@ -158,7 +157,6 @@ func runService(addr string, workers, queueDepth, concurrency, tenantQuota,
 	}
 	reg := obs.NewRegistry()
 	srv := obs.NewServer(reg)
-	srv.SetSpec(specrt.LatestSpec)
 	svc := service.New(service.Config{
 		Workers:        workers,
 		Concurrency:    concurrency,

@@ -3,7 +3,6 @@ package doall
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"privateer/internal/interp"
@@ -20,9 +19,8 @@ const (
 	simJoinPerWorker  = 400
 )
 
-// BaselineStats reports timing for the non-speculative scheduler. All
-// fields are updated with atomic adds so a live introspection scrape can
-// snapshot them while regions execute.
+// BaselineStats reports timing for the non-speculative scheduler. Only the
+// master goroutine writes it, so the fields are plain values.
 type BaselineStats struct {
 	// Spawn is the time spent cloning worker address spaces.
 	Spawn time.Duration
@@ -36,18 +34,6 @@ type BaselineStats struct {
 	// spawn + slowest worker + join per invocation (see specrt/sim.go for
 	// the model).
 	SimRegionTime int64
-}
-
-// Snapshot returns an atomically loaded copy of the stats, safe to call
-// while the scheduler executes a region.
-func (s *BaselineStats) Snapshot() BaselineStats {
-	return BaselineStats{
-		Spawn:         time.Duration(atomic.LoadInt64((*int64)(&s.Spawn))),
-		Join:          time.Duration(atomic.LoadInt64((*int64)(&s.Join))),
-		Wall:          time.Duration(atomic.LoadInt64((*int64)(&s.Wall))),
-		Invocations:   atomic.LoadInt64(&s.Invocations),
-		SimRegionTime: atomic.LoadInt64(&s.SimRegionTime),
-	}
 }
 
 // Baseline executes a program whose loops were outlined by Outline in
@@ -92,7 +78,8 @@ func (bl *Baseline) Attach(master *interp.Interp) {
 // invoke runs one parallel region: args are (lo, hi, live-ins...).
 func (bl *Baseline) invoke(master *interp.Interp, r *Region, args []uint64) error {
 	t0 := time.Now()
-	inv := atomic.AddInt64(&bl.Stats.Invocations, 1) - 1
+	inv := bl.Stats.Invocations
+	bl.Stats.Invocations++
 	tr := bl.Trace
 	if tr.On() {
 		ts := tr.Now()
@@ -126,7 +113,7 @@ func (bl *Baseline) invoke(master *interp.Interp, r *Region, args []uint64) erro
 		tr.Instant(obs.Event{Kind: obs.KWorkerSpawn,
 			Invocation: inv, Worker: w, Iter: -1})
 	}
-	atomic.AddInt64((*int64)(&bl.Stats.Spawn), int64(time.Since(spawnStart)))
+	bl.Stats.Spawn += time.Since(spawnStart)
 
 	errs := make([]error, workers)
 	outs := make([]string, workers)
@@ -163,8 +150,7 @@ func (bl *Baseline) invoke(master *interp.Interp, r *Region, args []uint64) erro
 			maxSteps = interps[w].Steps
 		}
 	}
-	atomic.AddInt64(&bl.Stats.SimRegionTime,
-		int64(workers)*(simSpawnPerWorker+simJoinPerWorker)+maxSteps)
+	bl.Stats.SimRegionTime += int64(workers)*(simSpawnPerWorker+simJoinPerWorker) + maxSteps
 
 	// Join: merge each worker's privately-written bytes into the master.
 	// Diffs are taken against a snapshot of the pre-region master pages so
@@ -204,31 +190,7 @@ func (bl *Baseline) invoke(master *interp.Interp, r *Region, args []uint64) erro
 		// DOALL-only does not defer I/O; emit worker output as produced.
 		master.Out.WriteString(outs[w])
 	}
-	atomic.AddInt64((*int64)(&bl.Stats.Join), int64(time.Since(joinStart)))
-	atomic.AddInt64((*int64)(&bl.Stats.Wall), int64(time.Since(t0)))
+	bl.Stats.Join += time.Since(joinStart)
+	bl.Stats.Wall += time.Since(t0)
 	return nil
-}
-
-// PublishMetrics registers pull-style collectors mirroring the scheduler's
-// stats into reg (names prefixed privateer_doall_). The scheduler pays
-// nothing between scrapes.
-func (bl *Baseline) PublishMetrics(reg *obs.Registry) {
-	inv := reg.Counter("privateer_doall_invocations_total",
-		"DOALL-only parallel region entries.")
-	spawn := reg.Counter("privateer_doall_spawn_ns_total",
-		"DOALL-only worker address-space clone time.")
-	join := reg.Counter("privateer_doall_join_ns_total",
-		"DOALL-only page diff-merge time.")
-	wall := reg.Counter("privateer_doall_wall_ns_total",
-		"DOALL-only wall-clock time inside regions.")
-	sim := reg.Counter("privateer_doall_sim_region_time_total",
-		"DOALL-only simulated region time.")
-	reg.RegisterCollector(func() {
-		st := bl.Stats.Snapshot()
-		inv.Set(st.Invocations)
-		spawn.Set(int64(st.Spawn))
-		join.Set(int64(st.Join))
-		wall.Set(int64(st.Wall))
-		sim.Set(st.SimRegionTime)
-	})
 }

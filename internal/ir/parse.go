@@ -357,6 +357,15 @@ func opByName(tok string) (op Op, size int64, float bool, redux ReduxKind, err e
 	return OpInvalid, 0, false, ReduxNone, fmt.Errorf("unknown opcode %q", tok)
 }
 
+// firstField returns tok's first whitespace-separated field, or "" when it
+// has none (a missing operand), which the caller's conversion rejects.
+func firstField(tok string) string {
+	if f := strings.Fields(tok); len(f) > 0 {
+		return f[0]
+	}
+	return ""
+}
+
 func reduxByName(s string) (ReduxKind, error) {
 	for k := ReduxNone; k <= ReduxMaxF64; k++ {
 		if k.String() == s {
@@ -470,7 +479,7 @@ func (p *parser) parseInstr(f *Function, line string, values map[string]Value,
 		}
 	case OpFConst:
 		tok, _ := takeFirst()
-		fv, err := strconv.ParseFloat(strings.Fields(tok)[0], 64)
+		fv, err := strconv.ParseFloat(firstField(tok), 64)
 		if err != nil {
 			return nil, p.errf("bad fconst %q", tok)
 		}
@@ -478,7 +487,7 @@ func (p *parser) parseInstr(f *Function, line string, values map[string]Value,
 		resultType = F64
 	case OpAlloca:
 		tok, _ := takeFirst()
-		sz, err := strconv.ParseInt(strings.Fields(tok)[0], 10, 64)
+		sz, err := strconv.ParseInt(firstField(tok), 10, 64)
 		if err != nil {
 			return nil, p.errf("bad alloca size %q", tok)
 		}
@@ -486,7 +495,7 @@ func (p *parser) parseInstr(f *Function, line string, values map[string]Value,
 		resultType = Ptr
 	case OpGlobal:
 		tok, _ := takeFirst()
-		gname := strings.TrimPrefix(strings.Fields(tok)[0], "@")
+		gname := strings.TrimPrefix(firstField(tok), "@")
 		g := p.mod.Globals[gname]
 		if g == nil {
 			return nil, p.errf("unknown global @%s", gname)

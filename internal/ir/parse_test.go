@@ -106,6 +106,9 @@ func TestParseErrors(t *testing.T) {
 		"module x\nfunc @f() i64 {\nentry:\n\t%v1 = frobnicate %v0\n}\n",          // bad opcode
 		"module x\nfunc @f() i64 {\nentry:\n\t%v1 = global @nope\n\tret %v1\n}\n", // unknown global
 		"module x\nfunc @f() void {\nentry:\n\t%v1 = const 1\n}\n",                // no terminator
+		"module x\nfunc @f() i64 {\nentry:\n\t%v1 = global\n\tret %v1\n}\n",       // missing global operand
+		"module x\nfunc @f() i64 {\nentry:\n\t%v1 = alloca\n\tret %v1\n}\n",       // missing alloca size
+		"module x\nfunc @f() i64 {\nentry:\n\t%v1 = fconst\n\tret %v1\n}\n",       // missing fconst value
 	}
 	for i, src := range cases {
 		if _, err := Parse(src); err == nil {

@@ -11,6 +11,12 @@
 // JSON file (chrometrace.go) or folded into per-invocation metrics
 // (metrics.go).
 //
+// The metrics Registry (registry.go) holds counters, gauges and histograms
+// whose handles are resolved once and then updated with single atomic
+// adds; producers push into it, and the stdlib-only Server (httpserv.go)
+// renders it at /metrics and /vars beside the pprof handlers and the
+// liveness and readiness probes.
+//
 // Emission is safe from any goroutine: the runtime's workers trace
 // concurrently with each other and with the service's job goroutines. Events from one goroutine are ordered;
 // events from different goroutines interleave by arrival, so consumers

@@ -18,8 +18,9 @@ func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// TestServerEndpoints: all four endpoint groups must answer 200 with the
-// right content type and body shape, and unknown paths must 404.
+// TestServerEndpoints: every endpoint group must answer 200 with the right
+// content type and body shape, and unknown paths (the retired /spec among
+// them) must 404.
 func TestServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("t_serve_total", "h").Add(9)
@@ -45,22 +46,6 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("/vars t_serve_total = %v", vars["t_serve_total"])
 	}
 
-	// /spec without a provider serves an empty document; with one, the
-	// provider's value rendered as JSON.
-	rec = get(t, s, "/spec")
-	if strings.TrimSpace(rec.Body.String()) != "{}" {
-		t.Errorf("/spec without provider = %q, want {}", rec.Body.String())
-	}
-	s.SetSpec(func() any { return map[string]int{"workers": 3} })
-	rec = get(t, s, "/spec")
-	var spec map[string]int
-	if err := json.Unmarshal(rec.Body.Bytes(), &spec); err != nil {
-		t.Fatalf("/spec not JSON: %v", err)
-	}
-	if spec["workers"] != 3 {
-		t.Errorf("/spec workers = %d, want 3", spec["workers"])
-	}
-
 	rec = get(t, s, "/debug/pprof/")
 	if rec.Code != http.StatusOK {
 		t.Errorf("/debug/pprof/ status %d", rec.Code)
@@ -69,8 +54,10 @@ func TestServerEndpoints(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "/metrics") {
 		t.Errorf("index does not list endpoints:\n%s", rec.Body.String())
 	}
-	if rec := get(t, s, "/nonexistent"); rec.Code != http.StatusNotFound {
-		t.Errorf("unknown path status %d, want 404", rec.Code)
+	for _, path := range []string{"/nonexistent", "/spec"} {
+		if rec := get(t, s, path); rec.Code != http.StatusNotFound {
+			t.Errorf("%s status %d, want 404", path, rec.Code)
+		}
 	}
 }
 

@@ -211,14 +211,19 @@ func (r *Registry) Gauge(name, help string, labels ...string) Gauge {
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
-// time. Safe on a nil registry.
+// time; registering the same series again replaces fn. Safe on a nil
+// registry.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
 	if r == nil {
 		return
 	}
 	f := r.getFamily(name, help, "gauge")
 	s := f.getSeries(renderLabels(labels))
+	// Scrapes read fn under the family lock, so re-registering a series
+	// (every runtime sharing a registry does) is safe mid-scrape.
+	f.mu.Lock()
 	s.fn = fn
+	f.mu.Unlock()
 }
 
 // Histogram is a fixed-bucket histogram with atomic counts. Buckets are

@@ -48,4 +48,14 @@
 // commit per interval in interval order, each interval's records in
 // iteration order, under RT.outMu (see the locking discipline note in
 // specrt.go).
+//
+// # Metrics
+//
+// With Config.Metrics set, the runtime publishes by push at quiescent
+// points only: at the exit of every region invocation and at the end of
+// Run, it adds the Stats and master vm.Stats deltas since its last publish
+// to registry counters and sets the occupancy and page-table gauges from
+// the master. Worker spaces own their vm.Stats blocks; the span folds them
+// into the master's at the join. Nothing in this package is process-global,
+// so runtimes sharing a registry sum into its counters.
 package specrt

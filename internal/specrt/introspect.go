@@ -1,17 +1,16 @@
 package specrt
 
 // Live introspection: atomic Stats snapshots, misspeculation attribution
-// (faulting address -> owning allocation site), the /spec JSON snapshot,
-// and pull-style publication into an obs.Registry. Everything here is off
-// the speculative hot path: sites register on master-side allocation,
-// attribution happens only when a misspeculation is flagged, and metric
-// collectors run only at scrape time.
+// (faulting address -> owning allocation site), and push-style publication
+// into an obs.Registry. Everything here is off the speculative hot path:
+// sites register on master-side allocation, attribution happens only when a
+// misspeculation is flagged, and the runtime pushes its metrics only at
+// quiescent points, after the workers of an invocation have joined.
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"privateer/internal/ir"
@@ -20,9 +19,8 @@ import (
 )
 
 // Snapshot returns an atomically loaded copy of the stats. Workers mutate
-// every field with atomic adds while a region runs, so any reporting that
-// may overlap execution (a /metrics scrape) must read through here rather
-// than copying the struct.
+// every field with atomic adds while a region runs, so any reader that may
+// overlap execution must read through here rather than copying the struct.
 func (s *Stats) Snapshot() Stats {
 	return Stats{
 		Invocations:         atomic.LoadInt64(&s.Invocations),
@@ -90,7 +88,8 @@ func (rt *RT) siteFor(addr uint64) string {
 }
 
 // noteMisspec aggregates one detected misspeculation into the per-site
-// table. addr is the faulting address (0 when the violation has no
+// table and the privateer_misspec_site_total counter (a no-op handle
+// without Config.Metrics). addr is the faulting address (0 when the violation has no
 // specific location, e.g. injected misspeculation).
 func (rt *RT) noteMisspec(region, cause, site string, addr uint64) {
 	obj := ""
@@ -101,6 +100,9 @@ func (rt *RT) noteMisspec(region, cause, site string, addr uint64) {
 	rt.missMu.Lock()
 	rt.missTable[k]++
 	rt.missMu.Unlock()
+	rt.Cfg.Metrics.Counter("privateer_misspec_site_total",
+		"Misspeculations attributed to one owning allocation site.",
+		"region", region, "cause", cause, "object", obj, "site", site).Inc()
 }
 
 // MisspecSiteRow is one aggregated misspeculation-attribution row: how
@@ -196,246 +198,204 @@ func FormatMisspecSites(rows []MisspecSiteRow) string {
 	return sb.String()
 }
 
-// SpecSnapshot is the live speculation-state document served at /spec.
-type SpecSnapshot struct {
-	// Stats is an atomic snapshot of the runtime counters.
-	Stats Stats `json:"stats"`
-	// Heaps is the master space's per-heap occupancy, in heap-tag order.
-	Heaps []vm.HeapOcc `json:"heaps"`
-	// Workers is the configured worker count.
-	Workers int `json:"workers"`
-	// MisspecRate is detected misspeculations per constructed checkpoint.
-	MisspecRate float64 `json:"misspec_rate"`
-	// MisspecSites is the attribution table, most frequent first.
-	MisspecSites []MisspecSiteRow `json:"misspec_sites"`
+// statCounters lists the Stats fields published as privateer_* counters.
+var statCounters = []struct {
+	name, help string
+	get        func(*Stats) int64
+}{
+	{"invocations_total", "Parallel-region entries.",
+		func(s *Stats) int64 { return s.Invocations }},
+	{"checkpoints_total", "Checkpoint objects constructed.",
+		func(s *Stats) int64 { return s.Checkpoints }},
+	{"misspeculations_total", "Detected misspeculations, including injected.",
+		func(s *Stats) int64 { return s.Misspecs }},
+	{"recoveries_total", "Sequential recovery episodes.",
+		func(s *Stats) int64 { return s.Recoveries }},
+	{"sequential_fallbacks_total", "Invocations abandoned to sequential execution.",
+		func(s *Stats) int64 { return s.SequentialFallbacks }},
+	{"priv_read_bytes_total", "Privacy-checked read volume.",
+		func(s *Stats) int64 { return s.PrivReadBytes }},
+	{"priv_write_bytes_total", "Privacy-checked write volume.",
+		func(s *Stats) int64 { return s.PrivWriteBytes }},
+	{"priv_read_checks_total", "Dynamic privacy read checks.",
+		func(s *Stats) int64 { return s.PrivReadChecks }},
+	{"priv_write_checks_total", "Dynamic privacy write checks.",
+		func(s *Stats) int64 { return s.PrivWriteChecks }},
+	{"separation_checks_total", "Dynamic heap-separation checks.",
+		func(s *Stats) int64 { return s.SeparationChecks }},
+	{"predictions_total", "Dynamic value-prediction checks.",
+		func(s *Stats) int64 { return s.Predictions }},
+	{"deferred_io_total", "Buffered output operations.",
+		func(s *Stats) int64 { return s.DeferredIO }},
+	{"proven_range_bytes_total", "Bytes wholesale-installed from statically-privatized ranges.",
+		func(s *Stats) int64 { return s.ProvenRangeBytes }},
+	{"sep_audit_violations_total", "Static separation claims contradicted by the SepAudit oracle.",
+		func(s *Stats) int64 { return s.SepAuditViolations }},
+	{"warm_spawns_total", "Worker spawns satisfied from the warmed pool.",
+		func(s *Stats) int64 { return s.WarmSpawns }},
+	{"spawn_ns_total", "Wall-clock worker spawn time.",
+		func(s *Stats) int64 { return s.SpawnNS }},
+	{"join_ns_total", "Master-side validate/install/commit critical path.",
+		func(s *Stats) int64 { return s.JoinNS }},
+	{"checkpoint_ns_total", "Wall-clock worker checkpoint-merge time.",
+		func(s *Stats) int64 { return s.CheckpointNS }},
+	{"worker_busy_ns_total", "Total wall-clock worker execution time.",
+		func(s *Stats) int64 { return s.WorkerBusyNS }},
+	{"region_wall_ns_total", "Wall-clock time inside parallel regions.",
+		func(s *Stats) int64 { return s.RegionWallNS }},
 }
 
-// SpecSnapshot assembles the live speculation-state document. Safe to call
-// from a scrape goroutine while a region executes.
-func (rt *RT) SpecSnapshot() SpecSnapshot {
-	st := rt.Stats.Snapshot()
-	rate := 0.0
-	if st.Checkpoints > 0 {
-		rate = float64(st.Misspecs) / float64(st.Checkpoints)
-	}
-	return SpecSnapshot{
-		Stats:        st,
-		Heaps:        rt.occ.Snapshot(),
-		Workers:      rt.Cfg.Workers,
-		MisspecRate:  rate,
-		MisspecSites: rt.MisspecSites(),
-	}
+// vmCounters lists the master vm.Stats fields published as privateer_vm_*
+// counters. Worker blocks are folded into the master's at every span join,
+// so these count the whole fleet.
+var vmCounters = []struct {
+	name, help string
+	get        func(*vm.Stats) int64
+}{
+	{"pages_mapped_total", "Demand-zero page instantiations (master space and its worker fleet).",
+		func(s *vm.Stats) int64 { return s.PagesMapped }},
+	{"pages_copied_total", "Copy-on-write page duplications (master space and its worker fleet).",
+		func(s *vm.Stats) int64 { return s.PagesCopied }},
+	{"nodes_copied_total", "Radix page-table nodes path-copied by range-COW splits.",
+		func(s *vm.Stats) int64 { return s.NodesCopied }},
+	{"summary_hits_total", "Subtrees skipped outright by dirty-summary-guided page walks.",
+		func(s *vm.Stats) int64 { return s.SummaryHits }},
 }
 
-// latestRT tracks the most recently constructed metrics-enabled runtime:
-// the one a live scrape should observe. Collectors and LatestSpec follow
-// it, so long-lived introspection servers (privateer-bench -serve) always
-// report the current run.
-var latestRT atomic.Pointer[RT]
+// rtMetrics is one runtime's view of its metrics registry: handles
+// resolved once in New, plus the totals already pushed through them.
+type rtMetrics struct {
+	stats []obs.Counter // parallel to statCounters
+	vm    []obs.Counter // parallel to vmCounters
 
-// publishedRegistries remembers which registries already carry the
-// runtime's collectors, so constructing many runtimes against one registry
-// (a benchmark suite) does not stack duplicate collectors.
-var publishedRegistries sync.Map
+	liveBytes, liveObjs, allocBytes [ir.NumHeaps]obs.Gauge
+	ptResident, ptNodes, ptDirty    obs.Gauge
 
-// LatestSpec returns the newest metrics-enabled runtime's SpecSnapshot,
-// or an empty document when none exists yet. It is the provider wired into
-// obs.Server's /spec endpoint.
-func LatestSpec() any {
-	rt := latestRT.Load()
-	if rt == nil {
-		return struct{}{}
-	}
-	return rt.SpecSnapshot()
+	// pubStats and pubVM are the Stats and master vm.Stats totals already
+	// added to the counters; publish adds only what accrued since. pubVM
+	// restarts at zero with each Run's fresh master space.
+	pubStats Stats
+	pubVM    vm.Stats
 }
 
-// publishMetrics registers the runtime's pull-style collectors on reg. The
-// instrumented code pays nothing between scrapes: collectors read the
-// runtime's atomics when /metrics or /vars is served. Histogram handles
-// are per-runtime; the collector set is installed once per registry and
-// follows latestRT.
-func (rt *RT) publishMetrics(reg *obs.Registry) {
-	rt.histRegionWall = reg.Histogram("privateer_region_wall_ns",
-		"Wall-clock nanoseconds per parallel-region invocation.", nil)
-	rt.histInstall = reg.Histogram("privateer_install_bytes",
-		"Bytes applied to the master state per checkpoint install.", nil)
-	if _, dup := publishedRegistries.LoadOrStore(reg, true); dup {
-		return
+// newMetrics resolves the runtime's metric handles on reg and sets the
+// static per-region counters. Counters are shared by every runtime on reg:
+// each adds its own deltas, so the registry holds sums across runtimes.
+func newMetrics(reg *obs.Registry, regions map[*ir.Function]*RegionInfo) *rtMetrics {
+	m := &rtMetrics{}
+	for _, sc := range statCounters {
+		m.stats = append(m.stats, reg.Counter("privateer_"+sc.name, sc.help))
 	}
-
-	type statCol struct {
-		c   obs.Counter
-		get func(*Stats) int64
+	for _, vc := range vmCounters {
+		m.vm = append(m.vm, reg.Counter("privateer_vm_"+vc.name, vc.help))
 	}
-	mk := func(name, help string, get func(*Stats) int64) statCol {
-		return statCol{reg.Counter("privateer_"+name, help), get}
-	}
-	cols := []statCol{
-		mk("invocations_total", "Parallel-region entries.",
-			func(s *Stats) int64 { return s.Invocations }),
-		mk("checkpoints_total", "Checkpoint objects constructed.",
-			func(s *Stats) int64 { return s.Checkpoints }),
-		mk("misspeculations_total", "Detected misspeculations, including injected.",
-			func(s *Stats) int64 { return s.Misspecs }),
-		mk("recoveries_total", "Sequential recovery episodes.",
-			func(s *Stats) int64 { return s.Recoveries }),
-		mk("sequential_fallbacks_total", "Invocations abandoned to sequential execution.",
-			func(s *Stats) int64 { return s.SequentialFallbacks }),
-		mk("priv_read_bytes_total", "Privacy-checked read volume.",
-			func(s *Stats) int64 { return s.PrivReadBytes }),
-		mk("priv_write_bytes_total", "Privacy-checked write volume.",
-			func(s *Stats) int64 { return s.PrivWriteBytes }),
-		mk("priv_read_checks_total", "Dynamic privacy read checks.",
-			func(s *Stats) int64 { return s.PrivReadChecks }),
-		mk("priv_write_checks_total", "Dynamic privacy write checks.",
-			func(s *Stats) int64 { return s.PrivWriteChecks }),
-		mk("separation_checks_total", "Dynamic heap-separation checks.",
-			func(s *Stats) int64 { return s.SeparationChecks }),
-		mk("predictions_total", "Dynamic value-prediction checks.",
-			func(s *Stats) int64 { return s.Predictions }),
-		mk("deferred_io_total", "Buffered output operations.",
-			func(s *Stats) int64 { return s.DeferredIO }),
-		mk("proven_range_bytes_total", "Bytes wholesale-installed from statically-privatized ranges.",
-			func(s *Stats) int64 { return s.ProvenRangeBytes }),
-		mk("sep_audit_violations_total", "Static separation claims contradicted by the SepAudit oracle.",
-			func(s *Stats) int64 { return s.SepAuditViolations }),
-		mk("warm_spawns_total", "Worker spawns satisfied from the warmed pool.",
-			func(s *Stats) int64 { return s.WarmSpawns }),
-		mk("spawn_ns_total", "Wall-clock worker spawn time.",
-			func(s *Stats) int64 { return s.SpawnNS }),
-		mk("join_ns_total", "Master-side validate/install/commit critical path.",
-			func(s *Stats) int64 { return s.JoinNS }),
-		mk("checkpoint_ns_total", "Wall-clock worker checkpoint-merge time.",
-			func(s *Stats) int64 { return s.CheckpointNS }),
-		mk("worker_busy_ns_total", "Total wall-clock worker execution time.",
-			func(s *Stats) int64 { return s.WorkerBusyNS }),
-		mk("region_wall_ns_total", "Wall-clock time inside parallel regions.",
-			func(s *Stats) int64 { return s.RegionWallNS }),
-	}
-
-	var liveBytes, liveObjs, allocBytes [ir.NumHeaps]obs.Gauge
 	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
 		name := h.String()
-		liveBytes[h] = reg.Gauge("privateer_heap_live_bytes",
+		m.liveBytes[h] = reg.Gauge("privateer_heap_live_bytes",
 			"Live (rounded) bytes per logical heap of the master space.", "heap", name)
-		liveObjs[h] = reg.Gauge("privateer_heap_live_objects",
+		m.liveObjs[h] = reg.Gauge("privateer_heap_live_objects",
 			"Live allocations per logical heap of the master space.", "heap", name)
-		allocBytes[h] = reg.Gauge("privateer_heap_alloc_bytes_total",
+		m.allocBytes[h] = reg.Gauge("privateer_heap_alloc_bytes_total",
 			"Cumulative bytes ever allocated per logical heap of the master space.", "heap", name)
 	}
-	type vmStatCol struct {
-		c   obs.Counter
-		get func(*vm.Stats) *int64
-	}
-	mkvm := func(name, help string, get func(*vm.Stats) *int64) vmStatCol {
-		return vmStatCol{reg.Counter("privateer_vm_"+name, help), get}
-	}
-	vmCols := []vmStatCol{
-		mkvm("pages_mapped_total", "Demand-zero page instantiations (master space and its worker fleet).",
-			func(s *vm.Stats) *int64 { return &s.PagesMapped }),
-		mkvm("pages_copied_total", "Copy-on-write page duplications (master space and its worker fleet).",
-			func(s *vm.Stats) *int64 { return &s.PagesCopied }),
-		mkvm("nodes_copied_total", "Radix page-table nodes path-copied by range-COW splits.",
-			func(s *vm.Stats) *int64 { return &s.NodesCopied }),
-		mkvm("summary_hits_total", "Subtrees skipped outright by dirty-summary-guided page walks.",
-			func(s *vm.Stats) *int64 { return &s.SummaryHits }),
-	}
-	ptResident := reg.Gauge("privateer_vm_resident_pages",
+	m.ptResident = reg.Gauge("privateer_vm_resident_pages",
 		"Instantiated pages in the master radix page table (refreshed at invocation boundaries).")
-	ptNodes := reg.Gauge("privateer_vm_radix_nodes",
+	m.ptNodes = reg.Gauge("privateer_vm_radix_nodes",
 		"Reachable radix page-table nodes of the master space (refreshed at invocation boundaries).")
-	ptDirty := reg.Gauge("privateer_vm_dirty_pages",
+	m.ptDirty = reg.Gauge("privateer_vm_dirty_pages",
 		"Master pages dirtied since its last clone (refreshed at invocation boundaries).")
+	// Both counters were registered above; the rate reads the sums.
+	misspecs := reg.Counter("privateer_misspeculations_total", "")
+	checkpoints := reg.Counter("privateer_checkpoints_total", "")
 	reg.GaugeFunc("privateer_misspec_rate",
 		"Detected misspeculations per constructed checkpoint.", func() float64 {
-			rt := latestRT.Load()
-			if rt == nil {
-				return 0
+			if c := checkpoints.Value(); c > 0 {
+				return float64(misspecs.Value()) / float64(c)
 			}
-			st := rt.Stats.Snapshot()
-			if st.Checkpoints == 0 {
-				return 0
-			}
-			return float64(st.Misspecs) / float64(st.Checkpoints)
+			return 0
 		})
 
-	reg.RegisterCollector(func() {
-		rt := latestRT.Load()
-		if rt == nil {
-			return
+	for _, ri := range regions {
+		ts := ri.TStats
+		for _, c := range []struct {
+			name string
+			n    int
+		}{
+			{"joined", ts.Joined},
+			{"eliminated", ts.Eliminated},
+			{"invariant", ts.InvPromoted},
+			{"dense", ts.DensePromoted},
+			{"sparse", ts.SparsePromoted},
+			{"redundant_uo", ts.HeapRedundantUO},
+		} {
+			reg.Counter("privateer_postprocess_sites_total",
+				"Check sites rewritten by the transform postprocess pass, by category (static).",
+				"region", ri.Outline.LoopName, "category", c.name).Set(int64(c.n))
 		}
-		st := rt.Stats.Snapshot()
-		for _, sc := range cols {
-			sc.c.Set(sc.get(&st))
+		for _, c := range []struct {
+			name string
+			n    int
+		}{
+			{"checks_discharged", ts.StaticProven},
+			{"priv_marks_dropped", ts.StaticPrivMarksDropped},
+			{"redux_marks_dropped", ts.StaticReduxMarksDropped},
+		} {
+			reg.Counter("privateer_static_sep_total",
+				"Dynamic machinery discharged by the static separation prover, by category (static).",
+				"region", ri.Outline.LoopName, "category", c.name).Set(int64(c.n))
 		}
-		for i, row := range rt.occ.Snapshot() {
-			liveBytes[i].Set(row.LiveBytes)
-			liveObjs[i].Set(row.LiveObjects)
-			allocBytes[i].Set(row.AllocBytes)
+	}
+	return m
+}
+
+// publish pushes what the runtime accrued since its last publish into the
+// registry: Stats and master vm.Stats deltas onto counters, the master's
+// per-heap occupancy and page-table shape onto gauges, and the opcode
+// profile. It runs only at quiescent points (invoke's exit, the end of
+// Run), where no worker is live, so it reads plain fields and may walk the
+// master page table. A no-op without Config.Metrics.
+func (rt *RT) publish() {
+	m := rt.met
+	if m == nil {
+		return
+	}
+	st := rt.Stats
+	for i, sc := range statCounters {
+		m.stats[i].Add(sc.get(&st) - sc.get(&m.pubStats))
+	}
+	m.pubStats = st
+	as := rt.master.AS
+	vs := *as.Stats
+	for i, vc := range vmCounters {
+		m.vm[i].Add(vc.get(&vs) - vc.get(&m.pubVM))
+	}
+	m.pubVM = vs
+	for h := ir.HeapKind(0); h < ir.NumHeaps; h++ {
+		m.liveBytes[h].Set(int64(as.LiveBytes(h)))
+		m.liveObjs[h].Set(int64(as.LiveObjects(h)))
+		m.allocBytes[h].Set(int64(as.AllocatedBytes(h)))
+	}
+	pt := as.PageTable()
+	m.ptResident.Set(pt.ResidentPages)
+	m.ptNodes.Set(pt.Nodes)
+	m.ptDirty.Set(pt.DirtyPages)
+	if p := rt.Cfg.OpProf; p != nil {
+		reg := rt.Cfg.Metrics
+		for _, r := range p.Ops() {
+			reg.Counter("privateer_op_executed_total",
+				"Estimated executed instructions per opcode (sampling profiler).",
+				"op", r.Op).Set(r.Executed)
+			reg.Counter("privateer_op_sampled_ns_total",
+				"Sampled wall time attributed per opcode.",
+				"op", r.Op).Set(r.SampledNS)
 		}
-		if vs := rt.vmStats.Load(); vs != nil {
-			for _, sc := range vmCols {
-				sc.c.Set(atomic.LoadInt64(sc.get(vs)))
-			}
+		for _, f := range p.Funcs() {
+			reg.Counter("privateer_fn_calls_total",
+				"Completed activations per IR function.", "fn", f.Fn).Set(f.Calls)
+			reg.Counter("privateer_fn_steps_total",
+				"Inclusive executed instructions per IR function.", "fn", f.Fn).Set(f.Steps)
+			reg.Counter("privateer_fn_sampled_ns_total",
+				"Sampled wall time attributed per IR function.", "fn", f.Fn).Set(f.SampledNS)
 		}
-		if pt := rt.ptStats.Load(); pt != nil {
-			ptResident.Set(pt.ResidentPages)
-			ptNodes.Set(pt.Nodes)
-			ptDirty.Set(pt.DirtyPages)
-		}
-		for _, ri := range rt.regions {
-			ts := ri.TStats
-			for _, c := range []struct {
-				name string
-				n    int
-			}{
-				{"joined", ts.Joined},
-				{"eliminated", ts.Eliminated},
-				{"invariant", ts.InvPromoted},
-				{"dense", ts.DensePromoted},
-				{"sparse", ts.SparsePromoted},
-				{"redundant_uo", ts.HeapRedundantUO},
-			} {
-				reg.Counter("privateer_postprocess_sites_total",
-					"Check sites rewritten by the transform postprocess pass, by category (static).",
-					"region", ri.Outline.LoopName, "category", c.name).Set(int64(c.n))
-			}
-			for _, c := range []struct {
-				name string
-				n    int
-			}{
-				{"checks_discharged", ts.StaticProven},
-				{"priv_marks_dropped", ts.StaticPrivMarksDropped},
-				{"redux_marks_dropped", ts.StaticReduxMarksDropped},
-			} {
-				reg.Counter("privateer_static_sep_total",
-					"Dynamic machinery discharged by the static separation prover, by category (static).",
-					"region", ri.Outline.LoopName, "category", c.name).Set(int64(c.n))
-			}
-		}
-		for _, r := range rt.MisspecSites() {
-			reg.Counter("privateer_misspec_site_total",
-				"Misspeculations attributed to one owning allocation site.",
-				"region", r.Region, "cause", r.Cause,
-				"object", r.Object, "site", r.Site).Set(r.Count)
-		}
-		if p := rt.Cfg.OpProf; p != nil {
-			for _, r := range p.Ops() {
-				reg.Counter("privateer_op_executed_total",
-					"Estimated executed instructions per opcode (sampling profiler).",
-					"op", r.Op).Set(r.Executed)
-				reg.Counter("privateer_op_sampled_ns_total",
-					"Sampled wall time attributed per opcode.",
-					"op", r.Op).Set(r.SampledNS)
-			}
-			for _, f := range p.Funcs() {
-				reg.Counter("privateer_fn_calls_total",
-					"Completed activations per IR function.", "fn", f.Fn).Set(f.Calls)
-				reg.Counter("privateer_fn_steps_total",
-					"Inclusive executed instructions per IR function.", "fn", f.Fn).Set(f.Steps)
-				reg.Counter("privateer_fn_sampled_ns_total",
-					"Sampled wall time attributed per IR function.", "fn", f.Fn).Set(f.SampledNS)
-			}
-		}
-	})
+	}
 }

@@ -59,11 +59,12 @@ type Config struct {
 	// Trace receives speculation-lifecycle events (nil disables tracing;
 	// every emission site is then a single branch).
 	Trace *obs.Tracer
-	// Metrics, when non-nil, receives live runtime metrics: the runtime
-	// registers pull-style collectors on it at construction, so a scrape
-	// (obs.Server's /metrics) observes Stats, per-heap occupancy, the
-	// misspeculation-by-site table, and the opcode profile while a region
-	// is still executing. Nil disables publication at zero cost.
+	// Metrics, when non-nil, receives runtime metrics: the runtime resolves
+	// its handles at construction and pushes Stats and memory-system
+	// deltas, per-heap occupancy and the opcode profile at the end of every
+	// region invocation and of Run. Runtimes sharing a registry add into
+	// the same counters, so they sum across runtimes. Nil disables
+	// publication at zero cost.
 	Metrics *obs.Registry
 	// OpProf, when non-nil, is shared by every interpreter the runtime
 	// constructs (master, workers, recovery), enabling the sampling
@@ -219,10 +220,6 @@ type RT struct {
 	sepViolMu sync.Mutex
 	sepViols  []string
 
-	// occ mirrors the master address space's per-heap allocator totals in
-	// atomic counters for live introspection (attached in Run).
-	occ *vm.HeapOccupancy
-
 	// siteMu guards siteMap, the live allocation-site map: master-side
 	// allocations (and globals) keyed by address range, so a faulting
 	// address can be attributed to the object that owns it. Worker-local
@@ -231,7 +228,7 @@ type RT struct {
 	siteMap *intervalmap.Map[string]
 
 	// missMu guards missTable, the per-site misspeculation aggregate
-	// behind MisspecSites, /spec, and privateer -why-misspec.
+	// behind MisspecSites and privateer -why-misspec.
 	missMu    sync.Mutex
 	missTable map[misspecKey]int64
 
@@ -240,15 +237,9 @@ type RT struct {
 	histRegionWall *obs.Histogram
 	histInstall    *obs.Histogram
 
-	// ptStats caches the master page table's radix occupancy for metric
-	// scrapes. The tree itself must not be walked concurrently with
-	// mutation, so the cache is refreshed only at quiescent points (region
-	// invocation boundaries) and scrapes read the last snapshot.
-	ptStats atomic.Pointer[vm.PageTableStats]
-	// vmStats atomically publishes the master space's memory-system Stats
-	// block for scrapes (set in Run once the master space exists; the block
-	// itself is in atomic-update mode whenever metrics are enabled).
-	vmStats atomic.Pointer[vm.Stats]
+	// met holds the registry handles publish pushes through (nil without
+	// Config.Metrics).
+	met *rtMetrics
 }
 
 // New prepares a runtime for mod with the given regions.
@@ -261,16 +252,18 @@ func New(mod *ir.Module, cfg Config, regions ...*RegionInfo) *RT {
 		regions:   map[*ir.Function]*RegionInfo{},
 		reduxObjs: map[uint64]reduxObj{},
 		sepObjs:   map[uint64]sepObj{},
-		occ:       vm.NewHeapOccupancy(),
 		siteMap:   &intervalmap.Map[string]{},
 		missTable: map[misspecKey]int64{},
 	}
 	for _, r := range regions {
 		rt.regions[r.Outline.RegionFn] = r
 	}
-	if cfg.Metrics != nil {
-		rt.publishMetrics(cfg.Metrics)
-		latestRT.Store(rt)
+	if reg := cfg.Metrics; reg != nil {
+		rt.met = newMetrics(reg, rt.regions)
+		rt.histRegionWall = reg.Histogram("privateer_region_wall_ns",
+			"Wall-clock nanoseconds per parallel-region invocation.", nil)
+		rt.histInstall = reg.Histogram("privateer_install_bytes",
+			"Bytes applied to the master state per checkpoint install.", nil)
 	}
 	return rt
 }
@@ -334,13 +327,11 @@ func (rt *RT) Run(args ...uint64) (uint64, error) {
 	}
 	rt.master = master
 	master.SetTrace(rt.Cfg.Trace, -1, -1)
-	master.AS.Occ = rt.occ
-	if rt.Cfg.Metrics != nil {
-		// Scrapes read the master's memory-system counters concurrently
-		// with execution, so its Stats block must update atomically.
-		master.AS.AtomicStats()
-		rt.vmStats.Store(master.AS.Stats)
+	if rt.met != nil {
+		// The fresh master's memory-system counters start from zero.
+		rt.met.pubVM = vm.Stats{}
 	}
+	defer rt.publish()
 	master.Prof = rt.Cfg.OpProf
 	master.Hooks.OnPrint = func(in *ir.Instr, text string) bool {
 		rt.writeOut(text)
@@ -545,13 +536,8 @@ func (rt *RT) invoke(ri *RegionInfo, args []uint64) error {
 		wall := int64(time.Since(wallStart))
 		atomic.AddInt64(&rt.Stats.RegionWallNS, wall)
 		rt.histRegionWall.Observe(wall)
-		// Workers have joined: the master space is
-		// quiescent, so this is a safe point to refresh the page-table
-		// snapshot metric scrapes read.
-		if rt.Cfg.Metrics != nil {
-			pt := rt.master.AS.PageTable()
-			rt.ptStats.Store(&pt)
-		}
+		// Workers have joined, so the runtime is quiescent.
+		rt.publish()
 	}()
 	tr := rt.Cfg.Trace
 	if tr.On() {

@@ -175,6 +175,11 @@ func (sp *spanState) run() (*checkpoint, int64, error) {
 		}(w)
 	}
 	wg.Wait()
+	// Fold each worker's page events into the master's block (Figure 8
+	// accounting) while the worker spaces still hold them.
+	for _, w := range ws {
+		rt.master.AS.Stats.Add(w.as.Stats)
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, -1, err
@@ -312,8 +317,8 @@ func (w *worker) simTime() int64 {
 func newWorker(sp *spanState, id, stride int) (*worker, error) {
 	rt := sp.rt
 	w := &worker{sp: sp, id: id, stride: stride}
-	// Workers share the master's Stats so fork-style page-copy counts
-	// aggregate across the fleet (Figure 8 accounting). A warmed spawn
+	// Each worker space counts its page events in its own Stats block; the
+	// span folds them into the master's at the join. A warmed spawn
 	// re-clones a pooled address space over this master in place and
 	// recycles its interpreter — same semantics as the cold path below,
 	// minus the per-spawn allocation of TLB arrays, heap states and maps.
@@ -326,7 +331,7 @@ func newWorker(sp *spanState, id, stride int) (*worker, error) {
 		}
 	}
 	if w.as == nil {
-		w.as = rt.master.AS.CloneSharingStats()
+		w.as = rt.master.AS.Clone()
 		// Sharing the master's decoded program means each region function
 		// is pre-decoded once per run, not once per worker per span.
 		w.it = interp.NewShared(rt.master.Program(), w.as)

@@ -35,4 +35,9 @@
 // against clones of one master space: the shared subtrees are frozen, and
 // each worker's writes materialize private ones. TestConcurrentCloneIsolation
 // pins this under the race detector.
+//
+// Event counters follow the same ownership rule: every space, clones
+// included, owns its Stats block and bumps it with plain adds. A parent
+// that reports fleet totals folds each clone's block into its own with
+// Stats.Add after the clone's goroutine has quiesced.
 package vm

@@ -6,23 +6,21 @@ import (
 	"privateer/internal/ir"
 )
 
-// row finds heap h's snapshot row.
-func row(t *testing.T, o *HeapOccupancy, h ir.HeapKind) HeapOcc {
-	t.Helper()
-	for _, r := range o.Snapshot() {
-		if r.Heap == h.String() {
-			return r
-		}
-	}
-	t.Fatalf("no snapshot row for heap %v", h)
-	return HeapOcc{}
+// occ is heap h's allocator occupancy: live objects, live rounded bytes,
+// and cumulative requested bytes.
+type occ struct {
+	objs       int
+	live, ever uint64
 }
 
-// TestOccupancyAllocFree: the mirror must track live bytes/objects through
-// alloc and free, and cumulative alloc bytes must never decrease.
+func occOf(as *AddressSpace, h ir.HeapKind) occ {
+	return occ{as.LiveObjects(h), as.LiveBytes(h), as.AllocatedBytes(h)}
+}
+
+// TestOccupancyAllocFree: live bytes/objects must track alloc and free,
+// and cumulative alloc bytes must never decrease.
 func TestOccupancyAllocFree(t *testing.T) {
 	as := NewAddressSpace()
-	as.Occ = NewHeapOccupancy()
 	a, err := as.Alloc(ir.HeapPrivate, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -31,40 +29,39 @@ func TestOccupancyAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := row(t, as.Occ, ir.HeapPrivate)
-	if r.LiveObjects != 2 {
-		t.Errorf("live objects %d, want 2", r.LiveObjects)
+	r := occOf(as, ir.HeapPrivate)
+	if r.objs != 2 {
+		t.Errorf("live objects %d, want 2", r.objs)
 	}
-	if r.LiveBytes < 150 {
-		t.Errorf("live bytes %d, want >= 150 (rounded sizes)", r.LiveBytes)
+	if r.live < 150 {
+		t.Errorf("live bytes %d, want >= 150 (rounded sizes)", r.live)
 	}
-	if r.AllocBytes != 150 {
-		t.Errorf("alloc bytes %d, want 150 (requested sizes)", r.AllocBytes)
+	if r.ever != 150 {
+		t.Errorf("alloc bytes %d, want 150 (requested sizes)", r.ever)
 	}
 	if err := as.Free(a); err != nil {
 		t.Fatal(err)
 	}
-	r = row(t, as.Occ, ir.HeapPrivate)
-	if r.LiveObjects != 1 {
-		t.Errorf("live objects after free %d, want 1", r.LiveObjects)
+	r = occOf(as, ir.HeapPrivate)
+	if r.objs != 1 {
+		t.Errorf("live objects after free %d, want 1", r.objs)
 	}
-	if r.AllocBytes != 150 {
-		t.Errorf("alloc bytes after free %d, must stay cumulative", r.AllocBytes)
+	if r.ever != 150 {
+		t.Errorf("alloc bytes after free %d, must stay cumulative", r.ever)
 	}
 	if err := as.Free(b); err != nil {
 		t.Fatal(err)
 	}
-	r = row(t, as.Occ, ir.HeapPrivate)
-	if r.LiveObjects != 0 || r.LiveBytes != 0 {
+	r = occOf(as, ir.HeapPrivate)
+	if r.objs != 0 || r.live != 0 {
 		t.Errorf("after freeing everything: %+v, want zero live state", r)
 	}
 }
 
 // TestOccupancyResyncOnBulkOps: heap reset and wholesale heap copy replace
-// allocator state behind the mirror's back, so both must resync it.
+// allocator state, and the occupancy must follow.
 func TestOccupancyResyncOnBulkOps(t *testing.T) {
 	as := NewAddressSpace()
-	as.Occ = NewHeapOccupancy()
 	if _, err := as.Alloc(ir.HeapPrivate, 64); err != nil {
 		t.Fatal(err)
 	}
@@ -72,52 +69,45 @@ func TestOccupancyResyncOnBulkOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	as.ResetHeap(ir.HeapPrivate)
-	if r := row(t, as.Occ, ir.HeapPrivate); r.LiveObjects != 0 || r.LiveBytes != 0 {
+	if r := occOf(as, ir.HeapPrivate); r.objs != 0 || r.live != 0 {
 		t.Errorf("after ResetHeap: %+v, want zero live state", r)
 	}
 
 	src := NewAddressSpace()
-	if _, err := src.Alloc(ir.HeapPrivate, 32); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := src.Alloc(ir.HeapPrivate, 32); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := src.Alloc(ir.HeapPrivate, 32); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		if _, err := src.Alloc(ir.HeapPrivate, 32); err != nil {
+			t.Fatal(err)
+		}
 	}
 	as.CopyHeapFrom(src, ir.HeapPrivate)
-	if r := row(t, as.Occ, ir.HeapPrivate); r.LiveObjects != 3 {
-		t.Errorf("after CopyHeapFrom: %d live objects, want 3", r.LiveObjects)
+	if got, want := occOf(as, ir.HeapPrivate), occOf(src, ir.HeapPrivate); got != want || got.objs != 3 {
+		t.Errorf("after CopyHeapFrom: %+v, want the source's %+v with 3 objects", got, want)
 	}
 }
 
-// TestOccupancyCloneDoesNotInherit: worker clones must not share the
-// master's mirror — their speculative allocations would corrupt the live
-// numbers the scrape reports for the master space.
+// TestOccupancyCloneDoesNotInherit: a clone starts from its parent's
+// occupancy, but its speculative allocations and frees stay its own.
 func TestOccupancyCloneDoesNotInherit(t *testing.T) {
 	as := NewAddressSpace()
-	as.Occ = NewHeapOccupancy()
-	if _, err := as.Alloc(ir.HeapPrivate, 40); err != nil {
+	a, err := as.Alloc(ir.HeapPrivate, 40)
+	if err != nil {
 		t.Fatal(err)
 	}
+	want := occOf(as, ir.HeapPrivate)
 	cl := as.Clone()
-	if cl.Occ != nil {
-		t.Fatal("clone inherited the occupancy mirror")
+	if got := occOf(cl, ir.HeapPrivate); got != want {
+		t.Fatalf("clone occupancy %+v, want the parent's %+v", got, want)
 	}
 	if _, err := cl.Alloc(ir.HeapPrivate, 4096); err != nil {
 		t.Fatal(err)
 	}
-	r := row(t, as.Occ, ir.HeapPrivate)
-	if r.LiveObjects != 1 || r.AllocBytes != 40 {
-		t.Errorf("clone allocation leaked into master mirror: %+v", r)
+	if err := cl.Free(a); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestOccupancyNilSnapshot: a nil mirror reads as empty.
-func TestOccupancyNilSnapshot(t *testing.T) {
-	var o *HeapOccupancy
-	if o.Snapshot() != nil {
-		t.Error("nil occupancy must snapshot to nil")
+	if got := occOf(as, ir.HeapPrivate); got != want {
+		t.Errorf("clone allocation leaked into the parent: %+v, want %+v", got, want)
+	}
+	if got := occOf(cl, ir.HeapPrivate); got.objs != 1 || got.ever != 40+4096 {
+		t.Errorf("clone occupancy %+v, want 1 object and %d bytes ever allocated", got, 40+4096)
 	}
 }

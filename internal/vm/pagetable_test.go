@@ -246,7 +246,7 @@ func TestDirtyHeapPagesSummaryGuided(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	child := parent.CloneSharingStats()
+	child := parent.Clone()
 	touched := map[uint64]bool{}
 	for _, p := range []uint64{0, 1, 130, 131, 300, 511} {
 		if err := child.Write(base+p*PageSize, 8, 9000+p); err != nil {

@@ -48,17 +48,17 @@ func readAll(t *testing.T, as *AddressSpace, addrs []uint64) [][]byte {
 	return out
 }
 
-// TestRecloneEquivalentToCloneSharingStats drives one space through a
+// TestRecloneEquivalentToClone drives one space through a
 // dirty-then-pooled-then-recloned cycle and checks it is indistinguishable
-// from a fresh CloneSharingStats clone: same reads, same isolation, same
-// shared Stats structure.
-func TestRecloneEquivalentToCloneSharingStats(t *testing.T) {
+// from a fresh Clone: same reads, same isolation, and a zeroed Stats block
+// of its own.
+func TestRecloneEquivalentToClone(t *testing.T) {
 	parent, addrs := buildParent(t)
 
 	// A pooled space with history: clone an unrelated parent, mutate it
 	// heavily, then release it back to "the pool".
 	other, oaddrs := buildParent(t)
-	pooled := other.CloneSharingStats()
+	pooled := other.Clone()
 	for _, a := range oaddrs {
 		if err := pooled.WriteBytes(a, make([]byte, 256)); err != nil {
 			t.Fatalf("dirty pooled: %v", err)
@@ -72,7 +72,7 @@ func TestRecloneEquivalentToCloneSharingStats(t *testing.T) {
 	// Re-target the pooled space at the real parent and compare against a
 	// conventional clone.
 	pooled.RecloneFrom(parent)
-	fresh := parent.CloneSharingStats()
+	fresh := parent.Clone()
 
 	want := readAll(t, parent, addrs)
 	for i, got := range readAll(t, pooled, addrs) {
@@ -80,11 +80,15 @@ func TestRecloneEquivalentToCloneSharingStats(t *testing.T) {
 			t.Fatalf("recloned space disagrees with parent at object %d", i)
 		}
 	}
-	if pooled.Stats != parent.Stats {
-		t.Fatalf("recloned space does not share the parent's Stats")
+	if pooled.Stats == parent.Stats {
+		t.Fatalf("recloned space shares the parent's Stats")
 	}
-	if fresh.Stats != parent.Stats {
-		t.Fatalf("fresh clone does not share the parent's Stats")
+	if fresh.Stats == parent.Stats {
+		t.Fatalf("fresh clone shares the parent's Stats")
+	}
+	if *pooled.Stats != *fresh.Stats {
+		t.Fatalf("recloned space starts from Stats %+v, a fresh clone from %+v",
+			*pooled.Stats, *fresh.Stats)
 	}
 
 	// Allocator state must match a fresh clone: same brk, same live counts.
@@ -139,7 +143,7 @@ func TestRecloneEquivalentToCloneSharingStats(t *testing.T) {
 // invocations' memory.
 func TestReleaseDropsState(t *testing.T) {
 	parent, addrs := buildParent(t)
-	w := parent.CloneSharingStats()
+	w := parent.Clone()
 	w.Release()
 	if w.Stats == parent.Stats {
 		t.Fatalf("released space still shares the parent's Stats")

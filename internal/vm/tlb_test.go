@@ -214,10 +214,10 @@ func TestLazyClonePagesCopiedSemantics(t *testing.T) {
 	}
 }
 
-// CloneSharingStats children account their page events into the parent's
-// Stats structure, so fork-style overhead counts aggregate across a worker
-// fleet (the paper's Figure 8 accounting).
-func TestCloneSharingStatsAggregates(t *testing.T) {
+// TestCloneStatsFoldAggregates: each clone accounts its page events into
+// its own Stats block, and folding the blocks into the parent after the
+// clones quiesce yields the fleet totals (the paper's Figure 8 accounting).
+func TestCloneStatsFoldAggregates(t *testing.T) {
 	parent := NewAddressSpace()
 	base, _ := parent.Alloc(ir.HeapPrivate, 4*PageSize)
 	for p := uint64(0); p < 4; p++ {
@@ -228,10 +228,10 @@ func TestCloneSharingStatsAggregates(t *testing.T) {
 	copiedBefore := parent.Stats.PagesCopied
 	mappedBefore := parent.Stats.PagesMapped
 
-	children := []*AddressSpace{parent.CloneSharingStats(), parent.CloneSharingStats()}
+	children := []*AddressSpace{parent.Clone(), parent.Clone()}
 	for i, c := range children {
-		if c.Stats != parent.Stats {
-			t.Fatalf("child %d has its own Stats; want the parent's", i)
+		if c.Stats == parent.Stats {
+			t.Fatalf("child %d shares the parent's Stats; want its own", i)
 		}
 		// One COW resolution per child.
 		if err := c.Write(base+uint64(i)*PageSize, 8, 100+uint64(i)); err != nil {
@@ -241,14 +241,23 @@ func TestCloneSharingStatsAggregates(t *testing.T) {
 		if err := c.Write(base+uint64(4+i)*PageSize, 8, 200+uint64(i)); err != nil {
 			t.Fatal(err)
 		}
+		if c.Stats.PagesCopied != 1 || c.Stats.PagesMapped != 1 {
+			t.Errorf("child %d counted %+v, want 1 copy and 1 mapping", i, *c.Stats)
+		}
+	}
+	if parent.Stats.PagesCopied != copiedBefore || parent.Stats.PagesMapped != mappedBefore {
+		t.Errorf("child page events reached the parent before the fold: %+v", *parent.Stats)
+	}
+	for _, c := range children {
+		parent.Stats.Add(c.Stats)
 	}
 	if got := parent.Stats.PagesCopied - copiedBefore; got != 2 {
-		t.Errorf("aggregated PagesCopied delta = %d, want 2", got)
+		t.Errorf("folded PagesCopied delta = %d, want 2", got)
 	}
 	if got := parent.Stats.PagesMapped - mappedBefore; got != 2 {
-		t.Errorf("aggregated PagesMapped delta = %d, want 2", got)
+		t.Errorf("folded PagesMapped delta = %d, want 2", got)
 	}
-	// Isolation still holds despite the shared accounting.
+	// Isolation holds as ever.
 	if v, _ := parent.Read(base, 8); v != 0 {
 		t.Errorf("parent disturbed by child writes: %d", v)
 	}

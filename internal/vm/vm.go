@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"privateer/internal/ir"
 	"privateer/internal/obs"
@@ -137,6 +136,8 @@ type heapState struct {
 	dead    map[uint64]bool
 	// liveCount is the number of live allocations across base and deltas.
 	liveCount int
+	// liveBytes totals the rounded sizes of those live allocations.
+	liveBytes uint64
 	// allocBytes totals bytes ever allocated from this heap.
 	allocBytes uint64
 }
@@ -217,7 +218,7 @@ func (hs *heapState) flatten() {
 func (hs *heapState) clone() *heapState {
 	hs.freeze()
 	return &heapState{brk: hs.brk, base: hs.base,
-		liveCount: hs.liveCount, allocBytes: hs.allocBytes}
+		liveCount: hs.liveCount, liveBytes: hs.liveBytes, allocBytes: hs.allocBytes}
 }
 
 // recloneFrom makes hs a clone of src in place, reusing hs's private delta
@@ -235,6 +236,7 @@ func (hs *heapState) recloneFrom(src *heapState) {
 	clear(hs.objects)
 	clear(hs.dead)
 	hs.liveCount = src.liveCount
+	hs.liveBytes = src.liveBytes
 	hs.allocBytes = src.allocBytes
 }
 
@@ -258,27 +260,6 @@ func (hs *heapState) objectSize(addr uint64) (uint64, bool) {
 	return 0, false
 }
 
-// eachObject visits every live object once: newest level first, tombstoned
-// and shadowed deeper entries skipped.
-func (hs *heapState) eachObject(visit func(addr, size uint64)) {
-	seen := map[uint64]bool{}
-	level := func(objects map[uint64]uint64, dead map[uint64]bool) {
-		for a, s := range objects {
-			if !seen[a] {
-				seen[a] = true
-				visit(a, s)
-			}
-		}
-		for a := range dead {
-			seen[a] = true
-		}
-	}
-	level(hs.objects, hs.dead)
-	for b := hs.base; b != nil; b = b.parent {
-		level(b.objects, b.dead)
-	}
-}
-
 // Stats counts memory-system events, exposed for the paper's overhead
 // accounting (Figure 8) and for tests.
 type Stats struct {
@@ -292,6 +273,16 @@ type Stats struct {
 	// SummaryHits counts subtrees skipped outright by dirty-summary-guided
 	// walks (DirtyPages/DirtyHeapPages).
 	SummaryHits int64
+}
+
+// Add folds o's counts into s. The speculative runtime folds each worker
+// space's block into the master's at the span join, so the master carries
+// fleet totals (the paper's Figure 8 accounting).
+func (s *Stats) Add(o *Stats) {
+	s.PagesMapped += o.PagesMapped
+	s.PagesCopied += o.PagesCopied
+	s.NodesCopied += o.NodesCopied
+	s.SummaryHits += o.SummaryHits
 }
 
 // tlbEntry is one cached translation of the software TLB: page number to
@@ -327,19 +318,10 @@ type AddressSpace struct {
 	rtlb [tlbSize]tlbEntry
 	wtlb [tlbSize]tlbEntry
 
-	// Stats accumulates event counts; shared pointer across clones when
-	// cloned with CloneSharingStats (updates then go through atomics so
-	// concurrent worker clones may aggregate into one structure).
+	// Stats accumulates event counts. Every space owns its own block, so
+	// updates are plain adds; a parent that wants fleet totals folds its
+	// clones' blocks in with Stats.Add once they have quiesced.
 	Stats *Stats
-	// statsAtomic selects atomic Stats updates; set once Stats may be
-	// shared with concurrently executing clones.
-	statsAtomic bool
-
-	// Occ, when non-nil, mirrors this space's per-heap allocator totals in
-	// atomic counters for live introspection (see occupancy.go). Clones do
-	// NOT inherit it: worker spaces are scratch views, and the master's
-	// occupancy is the program's authoritative heap state.
-	Occ *HeapOccupancy
 
 	// Trace receives page-layer events (COW duplication, TLB flushes,
 	// protection faults); nil disables emission. Clones inherit the tracer.
@@ -348,16 +330,6 @@ type AddressSpace struct {
 	TraceWorker int
 	// TraceInv is the current region invocation (-1 = outside any region).
 	TraceInv int64
-}
-
-// addStat bumps one Stats counter, atomically when the Stats structure may
-// be shared with concurrently executing clones.
-func (as *AddressSpace) addStat(p *int64, n int64) {
-	if as.statsAtomic {
-		atomic.AddInt64(p, n)
-	} else {
-		*p += n
-	}
 }
 
 // flushTLB drops every cached translation; cause labels the trace event.
@@ -401,35 +373,16 @@ func (as *AddressSpace) Clone() *AddressSpace {
 	return c
 }
 
-// CloneSharingStats is Clone, except the child accumulates into the
-// parent's Stats structure instead of a fresh one. The speculative runtime
-// spawns its workers this way so fork-style page-copy counts aggregate
-// across the whole worker fleet (the paper's Figure 8 overhead accounting).
-// Both spaces switch to atomic Stats updates, since clones typically run on
-// concurrent worker goroutines.
-func (as *AddressSpace) CloneSharingStats() *AddressSpace {
-	as.statsAtomic = true
-	c := as.Clone()
-	c.Stats = as.Stats
-	c.statsAtomic = true
-	return c
-}
-
-// AtomicStats switches this space's Stats updates to atomic operations, so
-// a concurrent reader (a live metrics scrape) may load the counters with
-// sync/atomic while the space executes. CloneSharingStats implies it.
-func (as *AddressSpace) AtomicStats() { as.statsAtomic = true }
-
 // RecloneFrom re-targets as to be a fresh copy-on-write clone of parent —
-// semantically identical to parent.CloneSharingStats(), except that no new
-// AddressSpace, TLB arrays or heap-state slots are allocated: the receiver's
+// semantically identical to parent.Clone(), including a zeroed Stats block
+// of its own, except that no new AddressSpace, TLB arrays or heap-state
+// slots are allocated: the receiver's
 // existing structure (including the delta-map capacity its allocator grew on
 // earlier runs) is reused in place. The region service's warmed worker pool
 // spawns recycled workers this way, amortizing the per-spawn allocation
 // churn across invocations. The receiver must not be aliased by any other
 // execution (a pooled space between uses); any state it held is discarded.
 func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
-	parent.statsAtomic = true
 	parent.epoch = nextEpoch()
 	parent.flushTLB("clone")
 	as.root = parent.root
@@ -438,9 +391,7 @@ func (as *AddressSpace) RecloneFrom(parent *AddressSpace) {
 		as.heaps[h].recloneFrom(parent.heaps[h])
 		as.prot[h] = parent.prot[h]
 	}
-	as.Stats = parent.Stats
-	as.statsAtomic = true
-	as.Occ = nil
+	*as.Stats = Stats{}
 	as.Trace = parent.Trace
 	as.TraceWorker = parent.TraceWorker
 	as.TraceInv = parent.TraceInv
@@ -464,12 +415,10 @@ func (as *AddressSpace) Release() {
 		clear(hs.used)
 		clear(hs.objects)
 		clear(hs.dead)
-		hs.liveCount, hs.allocBytes = 0, 0
+		hs.liveCount, hs.liveBytes, hs.allocBytes = 0, 0, 0
 		as.prot[h] = ProtReadWrite
 	}
-	as.Stats = &Stats{}
-	as.statsAtomic = false
-	as.Occ = nil
+	*as.Stats = Stats{}
 	as.Trace = nil
 	as.flushTLB("release")
 }
@@ -506,13 +455,13 @@ func (as *AddressSpace) pageFor(addr uint64, forWrite bool) *page {
 	e := &leaf.entries[slot]
 	if e.pg == nil {
 		e.pg = &page{}
-		as.addStat(&as.Stats.PagesMapped, 1)
+		as.Stats.PagesMapped++
 		as.markDirty(&path, slot)
 	} else if forWrite && e.cow {
 		dup := &page{data: e.pg.data}
 		e.pg = dup
 		e.cow = false
-		as.addStat(&as.Stats.PagesCopied, 1)
+		as.Stats.PagesCopied++
 		as.markDirty(&path, slot)
 		as.Trace.Instant(obs.Event{Kind: obs.KCOWCopy,
 			Invocation: as.TraceInv, Worker: as.TraceWorker, Iter: -1,
@@ -719,10 +668,8 @@ func (as *AddressSpace) Alloc(h ir.HeapKind, size uint64) (uint64, error) {
 	}
 	hs.objects[addr] = rounded
 	hs.liveCount++
+	hs.liveBytes += rounded
 	hs.allocBytes += size
-	if as.Occ != nil {
-		as.Occ.alloc(h, size, rounded)
-	}
 	return addr, nil
 }
 
@@ -744,13 +691,11 @@ func (as *AddressSpace) Free(addr uint64) error {
 		hs.dead[addr] = true
 	}
 	hs.liveCount--
+	hs.liveBytes -= rounded
 	if hs.free == nil {
 		hs.free = map[uint64][]uint64{}
 	}
 	hs.free[rounded] = append(hs.free[rounded], addr)
-	if as.Occ != nil {
-		as.Occ.free(h, rounded)
-	}
 	return nil
 }
 
@@ -764,6 +709,9 @@ func (as *AddressSpace) ObjectSize(addr uint64) uint64 {
 // validate short-lived object lifetimes at iteration boundaries.
 func (as *AddressSpace) LiveObjects(h ir.HeapKind) int { return as.heaps[h].liveCount }
 
+// LiveBytes returns the rounded byte total of heap h's live allocations.
+func (as *AddressSpace) LiveBytes(h ir.HeapKind) uint64 { return as.heaps[h].liveBytes }
+
 // AllocatedBytes returns total bytes ever allocated from heap h.
 func (as *AddressSpace) AllocatedBytes(h ir.HeapKind) uint64 { return as.heaps[h].allocBytes }
 
@@ -776,7 +724,7 @@ func (as *AddressSpace) Brk(h ir.HeapKind) uint64 { return as.heaps[h].brk }
 func (as *AddressSpace) clearHeapSubtrees(h ir.HeapKind) {
 	if as.root.epoch != as.epoch {
 		as.root = as.root.copyAs(as.epoch)
-		as.addStat(&as.Stats.NodesCopied, 1)
+		as.Stats.NodesCopied++
 	}
 	lo, hi := heapSlotRange(h)
 	for s := lo; s < hi; s++ {
@@ -796,9 +744,6 @@ func (as *AddressSpace) clearHeapSubtrees(h ir.HeapKind) {
 func (as *AddressSpace) ResetHeap(h ir.HeapKind) {
 	as.clearHeapSubtrees(h)
 	as.heaps[h] = newHeapState(h)
-	if as.Occ != nil {
-		as.Occ.resync(h, as.heaps[h])
-	}
 	as.flushTLB("reset-heap")
 }
 
@@ -820,9 +765,6 @@ func (as *AddressSpace) CopyHeapFrom(src *AddressSpace, h ir.HeapKind) {
 		*e = pageEntry{pg: dup, cow: true}
 	})
 	as.heaps[h] = src.heaps[h].clone()
-	if as.Occ != nil {
-		as.Occ.resync(h, as.heaps[h])
-	}
 	as.flushTLB("copy-heap")
 	src.flushTLB("copy-heap")
 }
@@ -843,7 +785,7 @@ func (as *AddressSpace) DirtyPages(visit func(base uint64, data []byte)) {
 // outright. The data slice aliases live memory and must not be retained.
 func (as *AddressSpace) DirtyHeapPages(h ir.HeapKind, visit func(base uint64, data []byte)) {
 	if as.root.epoch != as.epoch || as.root.dirty == 0 {
-		as.addStat(&as.Stats.SummaryHits, 1)
+		as.Stats.SummaryHits++
 		return
 	}
 	lo, hi := heapSlotRange(h)
