@@ -77,18 +77,9 @@ func run(progName, input string, workers int, plant string, asJSON bool) error {
 	failed := false
 	reports := map[string]*audit.Report{}
 	for _, p := range targets {
-		var in progs.Input
-		switch input {
-		case "train":
-			in = p.Train
-		case "ref":
-			in = p.Ref
-		case "alt":
-			in = p.Alt
-		case "huge":
-			in = p.Huge
-		default:
-			return fmt.Errorf("unknown input class %q", input)
+		in, err := p.Input(input)
+		if err != nil {
+			return err
 		}
 		build := func() *ir.Module { return p.Build(in) }
 		rep, err := audit.Run(build,

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"privateer/internal/bench"
@@ -23,12 +24,12 @@ import (
 func main() {
 	var (
 		experiment = flag.String("experiment", "all",
-			"all, table1, table3, fig6, fig7, fig8, fig9, ablation, micro, elision, staticsep, obsoverhead, or service")
+			"all, table1, table3, fig6, fig7, fig8, fig9, ablation, elision, staticsep, obsoverhead, or service")
 		input     = flag.String("input", "", "input class override: train, ref, alt, huge")
 		quick     = flag.Bool("quick", false, "scaled-down configuration (train inputs)")
 		programs  = flag.String("programs", "", "comma-separated subset of benchmarks")
-		workers   = flag.Int("workers", 0, "machine size override for fig7/fig9")
-		jsonOut   = flag.Bool("json", false, "machine-readable output (micro, elision, staticsep, obsoverhead, service)")
+		workers   = flag.Int("workers", 0, "machine size override for fig7/fig9, ablation, elision and staticsep")
+		jsonOut   = flag.Bool("json", false, "machine-readable output (elision, staticsep, obsoverhead, service only)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON file of the speculation lifecycle")
 		eventsOut = flag.Bool("events", false, "print an event summary table after the experiment")
 		serve     = flag.String("serve", "", "serve live introspection (/metrics, /vars, /debug/pprof) on this address while experiments run")
@@ -40,14 +41,28 @@ func main() {
 	}
 }
 
+// experiments lists every -experiment value; jsonExperiments those with a
+// -json form.
+var (
+	experiments     = []string{"all", "table1", "table3", "fig6", "fig7", "fig8", "fig9", "ablation", "elision", "staticsep", "obsoverhead", "service"}
+	jsonExperiments = []string{"elision", "staticsep", "obsoverhead", "service"}
+)
+
 func run(experiment, input string, quick bool, programs string, workers int, jsonOut bool, traceOut string, eventsOut bool, serve string) error {
+	if !slices.Contains(experiments, experiment) {
+		return fmt.Errorf("unknown experiment %q (have: %s)", experiment, strings.Join(experiments, ", "))
+	}
+	if jsonOut && !slices.Contains(jsonExperiments, experiment) {
+		return fmt.Errorf("-json is not supported by -experiment %s (only %s)", experiment, strings.Join(jsonExperiments, ", "))
+	}
 	cfg := bench.DefaultConfig()
 	if quick {
 		cfg = bench.QuickConfig()
 	}
+	toggle := experiment == "elision" || experiment == "staticsep"
 	if input != "" {
 		cfg.Input = input
-	} else if (experiment == "elision" || experiment == "staticsep") && !quick {
+	} else if toggle && !quick {
 		// These experiments exist to exercise the ~100x inputs.
 		cfg.Input = "huge"
 	}
@@ -56,6 +71,10 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 	}
 	if workers > 0 {
 		cfg.FixedWorkers = workers
+	} else if toggle {
+		// Host-sized: oversubscription would put scheduler noise into the
+		// wall-clock columns.
+		cfg.FixedWorkers = 8
 	}
 
 	// Live introspection: a registry plus HTTP server observing every
@@ -118,8 +137,12 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 		fmt.Println(bench.Table1())
 		return nil
 	}
-	if experiment == "elision" {
-		rep, err := bench.RunElision(cfg, quick)
+	if toggle {
+		reps := 3 // wall-clock minimum over this many runs per build
+		if quick {
+			reps = 1
+		}
+		rep, err := bench.RunToggle(cfg, experiment, reps)
 		if err != nil {
 			return err
 		}
@@ -129,30 +152,6 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 			fmt.Println(rep.Format())
 		}
 		return nil
-	}
-	if experiment == "staticsep" {
-		rep, err := bench.RunStaticSep(cfg, quick)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			fmt.Println(rep.JSON())
-		} else {
-			fmt.Println(rep.Format())
-		}
-		return nil
-	}
-	if experiment == "micro" {
-		rep, err := bench.RunMicroTraced(tracer)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			fmt.Println(rep.JSON())
-		} else {
-			fmt.Println(rep.Format())
-		}
-		return finishTrace()
 	}
 	if experiment == "service" {
 		rep, err := bench.RunService(cfg, quick)
@@ -229,7 +228,7 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 			return err
 		}
 		fmt.Println(cp.Format())
-		el, err := bench.AblationElision(cfg)
+		el, err := bench.RunToggle(cfg, "sep-elision", 1)
 		if err != nil {
 			return err
 		}
@@ -239,8 +238,6 @@ func run(experiment, input string, quick bool, programs string, workers int, jso
 			return err
 		}
 		fmt.Println(vp.Format())
-	default:
-		return fmt.Errorf("unknown experiment %q", experiment)
 	}
 	return nil
 }

@@ -146,18 +146,9 @@ func run(progName, input string, showIR, heaps, profile, ptable, elision, sep bo
 	if p == nil {
 		return fmt.Errorf("unknown program %q", progName)
 	}
-	var in progs.Input
-	switch input {
-	case "train":
-		in = p.Train
-	case "ref":
-		in = p.Ref
-	case "alt":
-		in = p.Alt
-	case "huge":
-		in = p.Huge
-	default:
-		return fmt.Errorf("unknown input class %q", input)
+	in, err := p.Input(input)
+	if err != nil {
+		return err
 	}
 	if outFile != "" {
 		if err := os.WriteFile(outFile, []byte(ir.FormatModule(p.Build(in))), 0o644); err != nil {

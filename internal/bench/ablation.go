@@ -15,7 +15,8 @@ import (
 //     in the common case, but discards and recomputes a larger amount of
 //     work upon misspeculation");
 //   - static check elision (section 4.5: "other checks are proved
-//     successful at compile time and are elided");
+//     successful at compile time and are elided"), measured by the toggle
+//     runner as "sep-elision" (toggle.go);
 //   - value prediction (section 6.1: dijkstra's queue pattern is only
 //     privatizable with it).
 
@@ -94,74 +95,6 @@ func (r *CheckpointAblationResult) Format() string {
 		table(header, rows)
 }
 
-// ElisionAblationRow compares check counts and speedup with and without
-// static elision for one program.
-type ElisionAblationRow struct {
-	Program string
-	// ChecksWith/ChecksWithout are dynamic separation-check counts.
-	ChecksWith    int64
-	ChecksWithout int64
-	// SpeedupWith/SpeedupWithout at the fixed machine size.
-	SpeedupWith    float64
-	SpeedupWithout float64
-}
-
-// ElisionAblationResult quantifies static check elision.
-type ElisionAblationResult struct {
-	Workers int
-	Rows    []ElisionAblationRow
-}
-
-// AblationElision compiles each benchmark twice — with and without static
-// elision of separation checks — and compares dynamic check counts and
-// speedups.
-func AblationElision(cfg Config) (*ElisionAblationResult, error) {
-	res := &ElisionAblationResult{Workers: cfg.FixedWorkers}
-	for _, p := range progs.All() {
-		if len(cfg.Programs) > 0 && !containsString(cfg.Programs, p.Name) {
-			continue
-		}
-		in := inputFor(p, cfg.Input)
-		row := ElisionAblationRow{Program: p.Name}
-		for _, disable := range []bool{false, true} {
-			pr, err := prepareOpts(p, in, core.Options{DisableElision: disable})
-			if err != nil {
-				return nil, err
-			}
-			rt, err := pr.runPrivateer(specrt.Config{Workers: cfg.FixedWorkers})
-			if err != nil {
-				return nil, err
-			}
-			if disable {
-				row.ChecksWithout = rt.Stats.Snapshot().SeparationChecks
-				row.SpeedupWithout = pr.speedup(rt)
-			} else {
-				row.ChecksWith = rt.Stats.Snapshot().SeparationChecks
-				row.SpeedupWith = pr.speedup(rt)
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// Format renders the comparison.
-func (r *ElisionAblationResult) Format() string {
-	header := []string{"Program", "Checks (elided)", "Checks (all)", "Speedup (elided)", "Speedup (all)"}
-	var rows [][]string
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Program,
-			fmt.Sprintf("%d", row.ChecksWith),
-			fmt.Sprintf("%d", row.ChecksWithout),
-			fmt.Sprintf("%.2fx", row.SpeedupWith),
-			fmt.Sprintf("%.2fx", row.SpeedupWithout),
-		})
-	}
-	return fmt.Sprintf("Ablation: static separation-check elision (%d workers)\n", r.Workers) +
-		table(header, rows)
-}
-
 // ValuePredAblationRow records whether the hottest loop survives selection
 // without value prediction, and how much execution time the selected
 // regions cover in each configuration.
@@ -192,7 +125,7 @@ func AblationValuePrediction(cfg Config) (*ValuePredAblationResult, error) {
 		if len(cfg.Programs) > 0 && !containsString(cfg.Programs, p.Name) {
 			continue
 		}
-		in := inputFor(p, "train")
+		in := p.Train
 		with, err := core.Parallelize(p.Build(in), core.Options{})
 		if err != nil {
 			return nil, err
@@ -257,17 +190,4 @@ func (r *ValuePredAblationResult) Format() string {
 		})
 	}
 	return "Ablation: value prediction's enabling effect\n" + table(header, rows)
-}
-
-// prepareOpts is prepare with explicit pipeline options.
-func prepareOpts(p *progs.Program, in progs.Input, opts core.Options) (*prepared, error) {
-	seqSteps, err := seqStepsOf(p, in)
-	if err != nil {
-		return nil, err
-	}
-	par, err := core.Parallelize(p.Build(in), opts)
-	if err != nil {
-		return nil, fmt.Errorf("%s parallelize: %w", p.Name, err)
-	}
-	return &prepared{prog: p, input: in, seqSteps: seqSteps, par: par}, nil
 }

@@ -133,19 +133,6 @@ func nsRatio(before, after int64) float64 {
 	return float64(before) / float64(after)
 }
 
-func inputFor(p *progs.Program, name string) progs.Input {
-	switch name {
-	case "train":
-		return p.Train
-	case "alt":
-		return p.Alt
-	case "huge":
-		return p.Huge
-	default:
-		return p.Ref
-	}
-}
-
 // seqStepsOf measures the unmodified program's simulated time.
 func seqStepsOf(p *progs.Program, in progs.Input) (int64, error) {
 	seqIt := interp.New(p.Build(in), vm.NewAddressSpace())
@@ -156,11 +143,14 @@ func seqStepsOf(p *progs.Program, in progs.Input) (int64, error) {
 }
 
 func prepare(p *progs.Program, inputName string) (*prepared, error) {
-	in := inputFor(p, inputName)
+	in, err := p.Input(inputName)
+	if err != nil {
+		return nil, err
+	}
 	// Best sequential execution: the unmodified program.
-	seqIt := interp.New(p.Build(in), vm.NewAddressSpace())
-	if _, err := seqIt.Run(); err != nil {
-		return nil, fmt.Errorf("%s sequential: %w", p.Name, err)
+	seqSteps, err := seqStepsOf(p, in)
+	if err != nil {
+		return nil, err
 	}
 	par, err := core.Parallelize(p.Build(in), core.Options{})
 	if err != nil {
@@ -170,7 +160,7 @@ func prepare(p *progs.Program, inputName string) (*prepared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s static parallelize: %w", p.Name, err)
 	}
-	return &prepared{prog: p, input: in, seqSteps: seqIt.Steps, par: par, static: static}, nil
+	return &prepared{prog: p, input: in, seqSteps: seqSteps, par: par, static: static}, nil
 }
 
 // runPrivateer executes the speculative build and returns the runtime.

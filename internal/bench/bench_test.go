@@ -151,23 +151,29 @@ func TestAblationValuePrediction(t *testing.T) {
 	}
 }
 
+// TestAblationElision: the ablation's sep-elision table, through the toggle
+// runner, must show elision removing dynamic separation checks on dijkstra
+// without costing speedup.
 func TestAblationElision(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Programs = []string{"dijkstra"}
-	r, err := AblationElision(cfg)
+	r, err := RunToggle(cfg, "sep-elision", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 1 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	if len(r.Programs) != 1 {
+		t.Fatalf("rows = %d", len(r.Programs))
 	}
-	row := r.Rows[0]
-	if row.ChecksWithout <= row.ChecksWith {
-		t.Errorf("disabling elision must add checks: %d vs %d", row.ChecksWithout, row.ChecksWith)
+	row := r.Programs[0]
+	if row.Off.SepChecks <= row.On.SepChecks {
+		t.Errorf("disabling elision must add checks: %d vs %d", row.Off.SepChecks, row.On.SepChecks)
 	}
-	if row.SpeedupWithout > row.SpeedupWith {
+	if row.Off.EndToEnd > row.On.EndToEnd {
 		t.Errorf("extra checks should not speed things up: %.2f vs %.2f",
-			row.SpeedupWithout, row.SpeedupWith)
+			row.Off.EndToEnd, row.On.EndToEnd)
+	}
+	if !strings.Contains(r.Format(), "separation-check elision") {
+		t.Error("format header missing")
 	}
 }
 

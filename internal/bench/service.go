@@ -297,7 +297,10 @@ func serviceLoad(rep *ServiceReport, programs []*progs.Program, inputName string
 // both spawn modes. Cold runs clone from scratch each time; the warm
 // figure comes from a pool pre-warmed by a discarded priming run.
 func serviceSpawnRow(p *progs.Program, inputName string) (ServiceSpawnRow, error) {
-	in := inputFor(p, inputName)
+	in, err := p.Input(inputName)
+	if err != nil {
+		return ServiceSpawnRow{}, err
+	}
 	row := ServiceSpawnRow{Name: p.Name, Input: in.Name}
 	par, err := core.Parallelize(p.Build(in), core.Options{})
 	if err != nil {

@@ -36,9 +36,6 @@ func chromeName(ev Event) string {
 	if ev.Cause == "" {
 		return ev.Kind.String()
 	}
-	if ev.Kind == KMark {
-		return ev.Cause
-	}
 	return ev.Kind.String() + ": " + ev.Cause
 }
 

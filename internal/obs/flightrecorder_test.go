@@ -16,7 +16,7 @@ import (
 func TestCollectorLazyGrowth(t *testing.T) {
 	c := NewCollector(1 << 20)
 	for i := 0; i < 3; i++ {
-		c.Emit(Event{Kind: KMark, Iter: int64(i)})
+		c.Emit(Event{Kind: KCommit, Iter: int64(i)})
 	}
 	if c.Len() != 3 || c.Dropped() != 0 {
 		t.Fatalf("len %d dropped %d, want 3, 0", c.Len(), c.Dropped())
@@ -24,7 +24,7 @@ func TestCollectorLazyGrowth(t *testing.T) {
 
 	small := NewCollector(4)
 	for i := 0; i < 10; i++ {
-		small.Emit(Event{Kind: KMark, Iter: int64(i)})
+		small.Emit(Event{Kind: KCommit, Iter: int64(i)})
 	}
 	if small.Len() != 4 {
 		t.Fatalf("len %d after wrap, want 4", small.Len())
@@ -52,7 +52,7 @@ func TestCollectorConcurrentOverflow(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				c.Emit(Event{Kind: KMark, Worker: g, Iter: int64(i)})
+				c.Emit(Event{Kind: KCommit, Worker: g, Iter: int64(i)})
 			}
 		}(g)
 	}

@@ -92,7 +92,7 @@ func TestCollectorPublishMetrics(t *testing.T) {
 		return sb.String()
 	}
 	for i := 0; i < 3; i++ {
-		c.Emit(Event{Kind: KMark})
+		c.Emit(Event{Kind: KCommit})
 	}
 	out := scrape()
 	for _, want := range []string{
@@ -105,7 +105,7 @@ func TestCollectorPublishMetrics(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		c.Emit(Event{Kind: KMark})
+		c.Emit(Event{Kind: KCommit})
 	}
 	out = scrape()
 	for _, want := range []string{

@@ -52,9 +52,6 @@ const (
 	KTLBFlush
 	// KProtFault is a memory-protection fault (A=address, Cause=reason).
 	KProtFault
-	// KMark is a generic labeled span (Cause = label); the benchmark
-	// harness uses it to bracket whole benchmarks.
-	KMark
 	// KSpawn is one span's whole fleet spawn as a single span (A=spawns
 	// satisfied from the warmed pool, B=fleet size, Cause="warm", "cold" or
 	// "mixed"); the per-worker KWorkerSpawn instants fall inside it.
@@ -85,7 +82,6 @@ var kindNames = [numKinds]string{
 	KCOWCopy:      "cow-copy",
 	KTLBFlush:     "tlb-flush",
 	KProtFault:    "prot-fault",
-	KMark:         "mark",
 	KSpawn:        "spawn",
 	KJobPhase:     "job-phase",
 }

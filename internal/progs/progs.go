@@ -82,6 +82,21 @@ func ByName(name string) *Program {
 	return nil
 }
 
+// Input returns the named input class: "train", "ref", "alt" or "huge".
+func (p *Program) Input(class string) (Input, error) {
+	switch class {
+	case "train":
+		return p.Train, nil
+	case "ref":
+		return p.Ref, nil
+	case "alt":
+		return p.Alt, nil
+	case "huge":
+		return p.Huge, nil
+	}
+	return Input{}, fmt.Errorf("unknown input class %q (want train, ref, alt or huge)", class)
+}
+
 // lcg is the deterministic input generator shared by builders and
 // references (a 64-bit linear congruential generator).
 type lcg struct{ s uint64 }

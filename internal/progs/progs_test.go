@@ -358,6 +358,33 @@ func TestByNameAndInputString(t *testing.T) {
 	}
 }
 
+// TestInputClasses: the input-class parser every CLI and the service share
+// maps the four class names to the matching fields and rejects anything
+// else, including the empty string (the service defaults "" to ref before
+// asking).
+func TestInputClasses(t *testing.T) {
+	p := Dijkstra()
+	for _, tc := range []struct {
+		class string
+		want  Input
+	}{
+		{"train", p.Train},
+		{"ref", p.Ref},
+		{"alt", p.Alt},
+		{"huge", p.Huge},
+	} {
+		got, err := p.Input(tc.class)
+		if err != nil || got != tc.want {
+			t.Errorf("Input(%q) = %v, %v; want %v", tc.class, got, err, tc.want)
+		}
+	}
+	for _, bad := range []string{"bogus", "", "Train"} {
+		if _, err := p.Input(bad); err == nil || !strings.Contains(err.Error(), "unknown input class") {
+			t.Errorf("Input(%q): err = %v, want unknown input class", bad, err)
+		}
+	}
+}
+
 // TestIRTextRoundTrip: every benchmark program formats to textual IR,
 // parses back, formats identically (fixpoint), and executes identically.
 func TestIRTextRoundTrip(t *testing.T) {

@@ -3,6 +3,8 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -47,17 +49,32 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxSubmitBytes bounds a /submit body; a valid request is three short
+// strings.
+const maxSubmitBytes = 4 << 10
+
 // handleSubmit admits a job: 202 with the job snapshot, 400 on a malformed
-// body or unknown program, 429 on quota or queue backpressure (with
-// Retry-After), 503 once draining.
+// body or unknown program, 413 on a body over maxSubmitBytes, 429 on quota
+// or queue backpressure (with Retry-After), 503 once draining.
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeJSON(w, http.StatusMethodNotAllowed, errorReply{"POST only"})
 		return
 	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				errorReply{fmt.Sprintf("body over %d bytes", maxSubmitBytes)})
+			return
+		}
+		writeJSON(w, http.StatusBadRequest, errorReply{"reading body: " + err.Error()})
+		return
+	}
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorReply{"bad JSON: " + err.Error()})
 		return
 	}

@@ -115,7 +115,7 @@ func TestHTTPSubmitPoll(t *testing.T) {
 }
 
 // TestHTTPErrors covers the API's failure statuses: wrong method, bad JSON,
-// unknown program, missing/unknown poll IDs, and 503 once draining.
+// oversize body, unknown program, missing/unknown poll IDs, and 503 once draining.
 func TestHTTPErrors(t *testing.T) {
 	s, base := startAPI(t, Config{Workers: 2, Concurrency: 1, QueueDepth: 4})
 
@@ -134,6 +134,16 @@ func TestHTTPErrors(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("bad JSON: %d", resp.StatusCode)
+		}
+	}
+
+	big := bytes.Repeat([]byte(" "), maxSubmitBytes+1)
+	if resp, err := http.Post(base+"/submit", "application/json", bytes.NewReader(big)); err != nil {
+		t.Fatal(err)
+	} else {
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversize body: %d", resp.StatusCode)
 		}
 	}
 

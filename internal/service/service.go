@@ -333,17 +333,14 @@ func lookup(prog, input string) (*progs.Program, progs.Input, error) {
 	if p == nil {
 		return nil, progs.Input{}, &UnknownProgramError{Name: prog}
 	}
-	switch input {
-	case "train":
-		return p, p.Train, nil
-	case "", "ref":
-		return p, p.Ref, nil
-	case "alt":
-		return p, p.Alt, nil
-	case "huge":
-		return p, p.Huge, nil
+	if input == "" {
+		input = "ref"
 	}
-	return nil, progs.Input{}, &UnknownProgramError{Name: input}
+	in, err := p.Input(input)
+	if err != nil {
+		return nil, progs.Input{}, &UnknownProgramError{Name: input}
+	}
+	return p, in, nil
 }
 
 // Submit admits a job or returns a typed rejection: UnknownProgramError,
@@ -384,12 +381,10 @@ func (s *Service) Submit(tenant, prog, input string) (*Job, error) {
 		s.recordRejection(tenant, prog, input, ErrDraining)
 		return nil, ErrDraining
 	}
+	// A tenant's entry is created only on admission, so rejected
+	// submissions under ever-new tenant names cannot grow the map.
 	tc := s.tenants[tenant]
-	if tc == nil {
-		tc = &tenantCounts{}
-		s.tenants[tenant] = tc
-	}
-	if q := s.cfg.TenantInflight; q > 0 && tc.Inflight >= int64(q) {
+	if q := s.cfg.TenantInflight; q > 0 && tc != nil && tc.Inflight >= int64(q) {
 		s.mu.Unlock()
 		s.mRejected("quota").Inc()
 		s.recordRejection(tenant, prog, input, &QuotaError{Tenant: tenant, Limit: q})
@@ -402,6 +397,10 @@ func (s *Service) Submit(tenant, prog, input string) (*Job, error) {
 		s.mRejected("queue_full").Inc()
 		s.recordRejection(tenant, prog, input, &QueueFullError{Depth: cap(s.queue)})
 		return nil, &QueueFullError{Depth: cap(s.queue)}
+	}
+	if tc == nil {
+		tc = &tenantCounts{}
+		s.tenants[tenant] = tc
 	}
 	job.ID = fmt.Sprintf("j%06d", s.nextID.Add(1))
 	s.jobs[job.ID] = job

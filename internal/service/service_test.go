@@ -178,7 +178,8 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 // TestAdmissionControl covers the typed rejections: unknown programs,
-// per-tenant quotas, and queue-full backpressure.
+// per-tenant quotas, and queue-full backpressure, and that rejections
+// retain no tenant state.
 func TestAdmissionControl(t *testing.T) {
 	s := New(Config{Workers: 2, Concurrency: 1, QueueDepth: 1, TenantInflight: 2})
 	hold := make(chan struct{})
@@ -216,5 +217,10 @@ func TestAdmissionControl(t *testing.T) {
 	var full *QueueFullError
 	if _, err := s.Submit("other-tenant", "dijkstra", "train"); !errors.As(err, &full) {
 		t.Fatalf("queue-full submit: %v", err)
+	}
+	// A tenant whose every submission was rejected leaves no entry behind,
+	// so rejections under ever-new names cannot grow the tenant map.
+	if _, ok := s.Snapshot().Tenants["other-tenant"]; ok {
+		t.Fatal("rejected tenant retained in the tenant map")
 	}
 }

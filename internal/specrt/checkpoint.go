@@ -359,21 +359,20 @@ func carryValidatePage(prev, sh []byte) int {
 	return -1
 }
 
-// crossValidate detects privacy violations spanning checkpoint intervals.
-// It walks the chain oldest-first, carrying collapsed metadata, and returns
-// the id of the first violating checkpoint, or -1. Call only after the span
-// has quiesced. This is the serial reference; crossValidateSharded gives
-// the same answer with the scan parallelized by shadow-page range.
-func (cp *checkpoint) crossValidate() int64 {
-	id, _ := cp.crossValidateAddr()
-	return id
-}
-
-// crossValidateAddr is crossValidate extended with the private-heap address
-// of the first violating byte (0 when no violation).
+// crossValidateAddr detects privacy violations spanning checkpoint
+// intervals. It walks the chain oldest-first, carrying collapsed metadata,
+// and returns the id of the first violating checkpoint and the lowest
+// faulting private-heap address within it, or (-1, 0). Every shadow page
+// folds independently, so the whole checkpoint is scanned before the
+// verdict: the address does not depend on map iteration order. Call only
+// after the span has quiesced. This is the serial reference;
+// crossValidateShardedAddr gives the same answer with the scan
+// parallelized by shadow-page range.
 func (cp *checkpoint) crossValidateAddr() (int64, uint64) {
 	carried := map[uint64][]byte{} // shadow page base -> collapsed meta
 	for _, c := range cp.chain() {
+		found := false
+		var lowest uint64
 		for base, sh := range c.shadow {
 			prev, have := carried[base]
 			if !have {
@@ -381,27 +380,25 @@ func (cp *checkpoint) crossValidateAddr() (int64, uint64) {
 				carried[base] = prev
 			}
 			if off := carryValidatePage(prev, sh); off >= 0 {
-				return c.id, (base &^ ir.ShadowBit) + uint64(off)
+				if a := (base &^ ir.ShadowBit) + uint64(off); !found || a < lowest {
+					found, lowest = true, a
+				}
 			}
+		}
+		if found {
+			return c.id, lowest
 		}
 	}
 	return -1, 0
 }
 
-// crossValidateSharded is crossValidate with the page scans distributed
-// over up to shards goroutines.
-func (cp *checkpoint) crossValidateSharded(shards int) int64 {
-	id, _ := cp.crossValidateShardedAddr(shards)
-	return id
-}
-
-// crossValidateShardedAddr is crossValidateSharded extended with a faulting
-// address. Every shadow page base carries its own collapsed metadata
-// independently of all other pages, so the chain can be validated per page;
-// the first violating checkpoint overall is the minimum first-violating
-// checkpoint over all pages, which makes the id identical to the serial
-// walk regardless of scheduling. The reported address is the one found by
-// the winning page's fold (any page tying on the minimum id may win).
+// crossValidateShardedAddr is crossValidateAddr with the page scans
+// distributed over up to shards goroutines. Every shadow page base carries
+// its own collapsed metadata independently of all other pages, so the
+// chain can be validated per page: each page yields its first violating
+// checkpoint and, within it, its lowest faulting offset (carryValidatePage
+// scans offsets upward). The least (id, address) pair over all pages is
+// then exactly the serial answer, whatever the scheduling.
 func (cp *checkpoint) crossValidateShardedAddr(shards int) (int64, uint64) {
 	chain := cp.chain()
 	seen := map[uint64]bool{}
@@ -431,6 +428,10 @@ func (cp *checkpoint) crossValidateShardedAddr(shards int) (int64, uint64) {
 		}
 		return -1, 0
 	}
+	// earlier orders violations by checkpoint id, then address.
+	earlier := func(id int64, addr uint64, bestID int64, bestAddr uint64) bool {
+		return id >= 0 && (bestID < 0 || id < bestID || id == bestID && addr < bestAddr)
+	}
 	first := int64(-1)
 	var firstAddr uint64
 	var mu sync.Mutex
@@ -447,17 +448,15 @@ func (cp *checkpoint) crossValidateShardedAddr(shards int) (int64, uint64) {
 			local := int64(-1)
 			var localAddr uint64
 			for _, base := range part {
-				if v, a := validateBase(base); v >= 0 && (local < 0 || v < local) {
+				if v, a := validateBase(base); earlier(v, a, local, localAddr) {
 					local, localAddr = v, a
 				}
 			}
-			if local >= 0 {
-				mu.Lock()
-				if first < 0 || local < first {
-					first, firstAddr = local, localAddr
-				}
-				mu.Unlock()
+			mu.Lock()
+			if earlier(local, localAddr, first, firstAddr) {
+				first, firstAddr = local, localAddr
 			}
+			mu.Unlock()
 		}(bases[lo:hi])
 	}
 	wg.Wait()

@@ -43,13 +43,13 @@ func TestCrossValidateShardedEquivalence(t *testing.T) {
 		}
 		return chain[5]
 	}
-	want := build().crossValidate()
+	want, wantAddr := build().crossValidateAddr()
 	if want < 0 {
 		t.Fatal("test chain should violate")
 	}
 	for _, shards := range []int{1, 2, 3, 8, 64} {
-		if got := build().crossValidateSharded(shards); got != want {
-			t.Errorf("shards=%d: first violation %d, want %d", shards, got, want)
+		if got, addr := build().crossValidateShardedAddr(shards); got != want || addr != wantAddr {
+			t.Errorf("shards=%d: first violation %d at %#x, want %d at %#x", shards, got, addr, want, wantAddr)
 		}
 	}
 	// A clean chain must stay clean at every shard count.
@@ -63,8 +63,43 @@ func TestCrossValidateShardedEquivalence(t *testing.T) {
 		return cp1
 	}
 	for _, shards := range []int{1, 2, 8} {
-		if got := clean().crossValidateSharded(shards); got != -1 {
+		if got, _ := clean().crossValidateShardedAddr(shards); got != -1 {
 			t.Errorf("clean chain, shards=%d: flagged %d", shards, got)
+		}
+	}
+}
+
+// TestCrossValidateAddrDeterministic: when two pages violate in the same
+// checkpoint, the serial and sharded walks must both report the lower
+// faulting address, every time — the address reaches misspeculation
+// reports, -why-misspec and /debug/flight, so it may not depend on map
+// iteration order or goroutine scheduling.
+func TestCrossValidateAddrDeterministic(t *testing.T) {
+	privPage := func(i int) uint64 { return ir.HeapPrivate.Base() + uint64(i+1)*vm.PageSize }
+	// Interval 0 writes byte 3 of pages 0..15; interval 1 reads byte 3 of
+	// pages 5 and 11 as live-in (two violations) and a disjoint byte of
+	// every other page (clean).
+	build := func() *checkpoint {
+		cp0 := newCheckpoint(0, 0, 4, nil)
+		cp1 := newCheckpoint(1, 4, 8, cp0)
+		for p := 0; p < 16; p++ {
+			base := ir.ShadowAddr(privPage(p))
+			cp0.ownPage(cp0.shadow, base)[3] = MetaTSBase
+			if p == 5 || p == 11 {
+				cp1.ownPage(cp1.shadow, base)[3] = MetaReadLiveIn
+			} else {
+				cp1.ownPage(cp1.shadow, base)[4] = MetaReadLiveIn
+			}
+		}
+		return cp1
+	}
+	want := privPage(5) + 3
+	for i := 0; i < 50; i++ {
+		if id, addr := build().crossValidateAddr(); id != 1 || addr != want {
+			t.Fatalf("serial run %d: violation %d at %#x, want 1 at %#x", i, id, addr, want)
+		}
+		if id, addr := build().crossValidateShardedAddr(4); id != 1 || addr != want {
+			t.Fatalf("sharded run %d: violation %d at %#x, want 1 at %#x", i, id, addr, want)
 		}
 	}
 }

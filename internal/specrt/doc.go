@@ -16,7 +16,7 @@
 // checkpoint object per interval. Validation has two phases: the fast
 // phase (per-access Table 2 shadow transitions inside each worker) and the
 // checkpoint phase (the merge in checkpoint.addWorkerState plus the
-// cross-interval chain validation in crossValidate). Once every worker has
+// cross-interval chain validation in crossValidateAddr). Once every worker has
 // joined, the master validates the chain, installs its valid prefix into
 // the master space and commits its deferred output; a misspeculation
 // squashes in-flight intervals and re-executes from the last valid

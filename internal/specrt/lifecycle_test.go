@@ -216,7 +216,7 @@ func TestCrossValidateUnit(t *testing.T) {
 	cp1 := newCheckpoint(1, 4, 8, cp0)
 	cp0.ownPage(cp0.shadow, base)[5] = MetaTSBase // written in interval 0
 	cp1.ownPage(cp1.shadow, base)[5] = MetaReadLiveIn
-	if c := cp1.crossValidate(); c != 1 {
+	if c, _ := cp1.crossValidateAddr(); c != 1 {
 		t.Errorf("write-then-live-in-read: flagged interval %d, want 1", c)
 	}
 
@@ -226,7 +226,7 @@ func TestCrossValidateUnit(t *testing.T) {
 	cp1 = newCheckpoint(1, 4, 8, cp0)
 	cp0.ownPage(cp0.shadow, base)[9] = MetaReadLiveIn
 	cp1.ownPage(cp1.shadow, base)[9] = MetaTSBase
-	if c := cp1.crossValidate(); c != 1 {
+	if c, _ := cp1.crossValidateAddr(); c != 1 {
 		t.Errorf("live-in-read-then-write: flagged interval %d, want 1", c)
 	}
 
@@ -235,7 +235,7 @@ func TestCrossValidateUnit(t *testing.T) {
 	cp1 = newCheckpoint(1, 4, 8, cp0)
 	cp0.ownPage(cp0.shadow, base)[1] = MetaTSBase
 	cp1.ownPage(cp1.shadow, base)[2] = MetaReadLiveIn
-	if c := cp1.crossValidate(); c != -1 {
+	if c, _ := cp1.crossValidateAddr(); c != -1 {
 		t.Errorf("disjoint bytes flagged interval %d, want -1", c)
 	}
 }

@@ -203,7 +203,7 @@ func TestCrossValidateDetectsInterIntervalConflict(t *testing.T) {
 	sh0[5] = TimestampFor(3, 0)
 	sh1 := cp1.ownPage(cp1.shadow, addr)
 	sh1[5] = MetaReadLiveIn
-	if got := cp1.crossValidate(); got != 1 {
+	if got, _ := cp1.crossValidateAddr(); got != 1 {
 		t.Errorf("crossValidate = %d, want 1", got)
 	}
 	// The reverse order: read-live-in in interval 0, write in interval 1
@@ -214,7 +214,7 @@ func TestCrossValidateDetectsInterIntervalConflict(t *testing.T) {
 	shA[7] = MetaReadLiveIn
 	shB := cpB.ownPage(cpB.shadow, addr)
 	shB[7] = TimestampFor(12, 10)
-	if got := cpB.crossValidate(); got != 1 {
+	if got, _ := cpB.crossValidateAddr(); got != 1 {
 		t.Errorf("reverse crossValidate = %d, want 1", got)
 	}
 	// Clean chains validate.
@@ -224,7 +224,7 @@ func TestCrossValidateDetectsInterIntervalConflict(t *testing.T) {
 	shX[9] = TimestampFor(2, 0)
 	shY := cpY.ownPage(cpY.shadow, addr)
 	shY[9] = TimestampFor(15, 10) // write after write: fine
-	if got := cpY.crossValidate(); got != -1 {
+	if got, _ := cpY.crossValidateAddr(); got != -1 {
 		t.Errorf("clean chain flagged at %d", got)
 	}
 }
